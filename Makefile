@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 vet build test race bench bench-compile bench-serve bench-diskcache bench-cluster bench-warehouse cluster-smoke serve-smoke campaign-smoke warehouse-smoke fuzz fuzz-smoke check
+.PHONY: tier1 vet build test race bench bench-interp bench-compile bench-serve bench-diskcache bench-cluster bench-warehouse cluster-smoke serve-smoke campaign-smoke warehouse-smoke fuzz fuzz-smoke check
 
 # tier1 is the gate the roadmap pins: it must stay green.
 tier1: build test
@@ -25,6 +25,12 @@ race:
 # scripts/bench_probe.sh to record a BENCH_probe.json baseline.
 bench:
 	$(GO) test -run '^$$' -bench 'Probe_(Sequential|Parallel)' -benchtime=1x .
+
+# bench-interp smoke-runs the interpreter benchmark (all 16 configs at
+# OptLevel -1 and 3, once); use scripts/bench_interp.sh to record a
+# parent/change BENCH_interp.json.
+bench-interp:
+	$(GO) test -run '^$$' -bench 'Interp_AllConfigs' -benchtime=1x ./internal/irinterp
 
 # bench-compile smoke-runs the compile benchmarks (analysis cache and
 # the 1/2/4/8-worker parallel scheduler); use scripts/bench_compile.sh
@@ -102,4 +108,4 @@ SEED ?= 1
 fuzz:
 	$(GO) run ./cmd/oraql-fuzz -n $(N) -seed $(SEED) -v $(ARGS)
 
-check: vet tier1 race bench bench-compile bench-serve bench-diskcache warehouse-smoke bench-warehouse serve-smoke campaign-smoke
+check: vet tier1 race bench bench-interp bench-compile bench-serve bench-diskcache warehouse-smoke bench-warehouse serve-smoke campaign-smoke

@@ -7,263 +7,267 @@ import (
 )
 
 // exec executes one non-terminator, non-phi instruction.
-func (m *machine) exec(fr *frame, in *ir.Instr) {
-	switch in.Op {
+func (m *machine) exec(fr *frame, ci *cinstr) {
+	ops := ci.ops
+	switch ci.op {
 	case ir.OpAlloca:
-		size := (in.Size + 15) &^ 15
+		size := ci.imm
 		addr := m.stackPtr
 		m.checkAddr(addr, size)
 		// Zero the slot: allocas start deterministic (the frontend
 		// always initializes, but optimized code must not observe
 		// garbage either).
-		for i := int64(0); i < size; i++ {
-			m.mem[addr+i] = 0
-		}
+		m.mem.fill(addr, size, 0)
 		m.stackPtr += size
-		fr.vals[in] = iv(addr)
+		m.setInt(fr, ci, addr)
 
 	case ir.OpLoad:
-		addr := m.eval(fr, in.Operands[0]).i
-		var out value
-		switch in.Ty.Kind {
-		case ir.KVec:
-			for l := 0; l < in.Ty.Lanes; l++ {
+		addr := m.eval(fr, &ops[0]).i
+		switch {
+		case ci.vector:
+			var out lanes
+			for l := 0; l < ci.lanes; l++ {
 				bits := m.load64(addr + int64(8*l))
 				out.vi[l] = int64(bits)
 				out.vf[l] = math.Float64frombits(bits)
 			}
-		case ir.KF64:
-			out = fv(math.Float64frombits(m.load64(addr)))
+			m.setVec(fr, ci, &out)
+		case ci.float:
+			m.set(fr, ci.dst, ci.vec, fv(math.Float64frombits(m.load64(addr))))
 		default:
-			out = iv(int64(m.load64(addr)))
+			m.setInt(fr, ci, int64(m.load64(addr)))
 		}
-		fr.vals[in] = out
 
 	case ir.OpStore:
-		val := m.eval(fr, in.Operands[0])
-		addr := m.eval(fr, in.Operands[1]).i
-		ty := in.Operands[0].Type()
-		switch ty.Kind {
-		case ir.KVec:
-			for l := 0; l < ty.Lanes; l++ {
-				if ty.Elem.Kind == ir.KF64 {
-					m.store64(addr+int64(8*l), math.Float64bits(val.vf[l]))
+		val := m.eval(fr, &ops[0])
+		addr := m.eval(fr, &ops[1]).i
+		switch {
+		case ci.vector:
+			ls := val.lanes()
+			for l := 0; l < ci.lanes; l++ {
+				if ci.float {
+					m.store64(addr+int64(8*l), math.Float64bits(ls.vf[l]))
 				} else {
-					m.store64(addr+int64(8*l), uint64(val.vi[l]))
+					m.store64(addr+int64(8*l), uint64(ls.vi[l]))
 				}
 			}
-		case ir.KF64:
+		case ci.float:
 			m.store64(addr, math.Float64bits(val.f))
 		default:
 			m.store64(addr, uint64(val.i))
 		}
 
 	case ir.OpGEP:
-		addr := m.eval(fr, in.Operands[0]).i + in.Off
-		if len(in.Operands) > 1 {
-			addr += m.eval(fr, in.Operands[1]).i * in.Scale
+		addr := m.eval(fr, &ops[0]).i + ci.imm
+		if len(ops) > 1 {
+			addr += m.eval(fr, &ops[1]).i * ci.scale
 		}
-		fr.vals[in] = iv(addr)
+		m.setInt(fr, ci, addr)
 
 	case ir.OpMemCpy:
-		dst := m.eval(fr, in.Operands[0]).i
-		src := m.eval(fr, in.Operands[1]).i
-		n := m.eval(fr, in.Operands[2]).i
+		dst := m.eval(fr, &ops[0]).i
+		src := m.eval(fr, &ops[1]).i
+		n := m.eval(fr, &ops[2]).i
 		if n < 0 {
 			m.trap("memcpy with negative length %d", n)
 		}
 		m.checkAddr(dst, n)
 		m.checkAddr(src, n)
-		copy(m.mem[dst:dst+n], m.mem[src:src+n])
+		m.mem.move(dst, src, n)
 
 	case ir.OpMemSet:
-		dst := m.eval(fr, in.Operands[0]).i
-		b := byte(m.eval(fr, in.Operands[1]).i)
-		n := m.eval(fr, in.Operands[2]).i
+		dst := m.eval(fr, &ops[0]).i
+		b := byte(m.eval(fr, &ops[1]).i)
+		n := m.eval(fr, &ops[2]).i
 		if n < 0 {
 			m.trap("memset with negative length %d", n)
 		}
 		m.checkAddr(dst, n)
-		for i := int64(0); i < n; i++ {
-			m.mem[dst+i] = b
-		}
+		m.mem.fill(dst, n, b)
 
 	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpSDiv, ir.OpSRem,
 		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpAShr:
-		fr.vals[in] = m.intBin(fr, in)
+		x := m.eval(fr, &ops[0])
+		y := m.eval(fr, &ops[1])
+		if ci.vector {
+			xl, yl := x.lanes(), y.lanes()
+			var out lanes
+			for l := 0; l < ci.lanes; l++ {
+				out.vi[l] = m.intOp(ci.op, xl.vi[l], yl.vi[l])
+			}
+			m.setVec(fr, ci, &out)
+		} else {
+			m.setInt(fr, ci, m.intOp(ci.op, x.i, y.i))
+		}
 
 	case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv:
-		fr.vals[in] = m.floatBin(fr, in)
+		x := m.eval(fr, &ops[0])
+		y := m.eval(fr, &ops[1])
+		if ci.vector {
+			xl, yl := x.lanes(), y.lanes()
+			var out lanes
+			for l := 0; l < ci.lanes; l++ {
+				out.vf[l] = floatOp(ci.op, xl.vf[l], yl.vf[l])
+			}
+			m.setVec(fr, ci, &out)
+		} else {
+			m.set(fr, ci.dst, ci.vec, fv(floatOp(ci.op, x.f, y.f)))
+		}
 
 	case ir.OpSIToFP:
-		x := m.eval(fr, in.Operands[0])
-		if in.Ty.Kind == ir.KVec {
-			var out value
-			for l := 0; l < in.Ty.Lanes; l++ {
-				out.vf[l] = float64(x.vi[l])
+		x := m.eval(fr, &ops[0])
+		if ci.vector {
+			xl := x.lanes()
+			var out lanes
+			for l := 0; l < ci.lanes; l++ {
+				out.vf[l] = float64(xl.vi[l])
 			}
-			fr.vals[in] = out
+			m.setVec(fr, ci, &out)
 		} else {
-			fr.vals[in] = fv(float64(x.i))
+			m.set(fr, ci.dst, ci.vec, fv(float64(x.i)))
 		}
 
 	case ir.OpFPToSI:
-		x := m.eval(fr, in.Operands[0])
-		if in.Ty.Kind == ir.KVec {
-			var out value
-			for l := 0; l < in.Ty.Lanes; l++ {
-				out.vi[l] = int64(x.vf[l])
+		x := m.eval(fr, &ops[0])
+		if ci.vector {
+			xl := x.lanes()
+			var out lanes
+			for l := 0; l < ci.lanes; l++ {
+				out.vi[l] = int64(xl.vf[l])
 			}
-			fr.vals[in] = out
+			m.setVec(fr, ci, &out)
 		} else {
-			fr.vals[in] = iv(int64(x.f))
+			m.setInt(fr, ci, int64(x.f))
 		}
 
 	case ir.OpICmp:
-		x := m.eval(fr, in.Operands[0]).i
-		y := m.eval(fr, in.Operands[1]).i
-		fr.vals[in] = iv(b2i(cmpInt(in.Pred, x, y)))
+		x := m.eval(fr, &ops[0]).i
+		y := m.eval(fr, &ops[1]).i
+		m.setInt(fr, ci, b2i(cmpInt(ci.pred, x, y)))
 
 	case ir.OpFCmp:
-		x := m.eval(fr, in.Operands[0]).f
-		y := m.eval(fr, in.Operands[1]).f
-		fr.vals[in] = iv(b2i(cmpFloat(in.Pred, x, y)))
+		x := m.eval(fr, &ops[0]).f
+		y := m.eval(fr, &ops[1]).f
+		m.setInt(fr, ci, b2i(cmpFloat(ci.pred, x, y)))
 
 	case ir.OpSelect:
-		if m.eval(fr, in.Operands[0]).i != 0 {
-			fr.vals[in] = m.eval(fr, in.Operands[1])
+		if m.eval(fr, &ops[0]).i != 0 {
+			m.set(fr, ci.dst, ci.vec, m.eval(fr, &ops[1]))
 		} else {
-			fr.vals[in] = m.eval(fr, in.Operands[2])
+			m.set(fr, ci.dst, ci.vec, m.eval(fr, &ops[2]))
 		}
 
 	case ir.OpVSplat:
-		x := m.eval(fr, in.Operands[0])
-		var out value
-		for l := 0; l < in.Ty.Lanes; l++ {
+		x := m.eval(fr, &ops[0])
+		var out lanes
+		for l := 0; l < ci.lanes; l++ {
 			out.vi[l] = x.i
 			out.vf[l] = x.f
 		}
-		fr.vals[in] = out
+		m.setVec(fr, ci, &out)
 
 	case ir.OpVExtract:
-		x := m.eval(fr, in.Operands[0])
-		lane := m.eval(fr, in.Operands[1]).i
-		vt := in.Operands[0].Type()
-		if lane < 0 || int(lane) >= vt.Lanes {
+		x := m.eval(fr, &ops[0])
+		lane := m.eval(fr, &ops[1]).i
+		if lane < 0 || int(lane) >= ci.lanes {
 			m.trap("vector lane %d out of range", lane)
 		}
-		if vt.Elem.Kind == ir.KF64 {
-			fr.vals[in] = fv(x.vf[lane])
+		if ci.float {
+			m.set(fr, ci.dst, ci.vec, fv(x.lanes().vf[lane]))
 		} else {
-			fr.vals[in] = iv(x.vi[lane])
+			m.setInt(fr, ci, x.lanes().vi[lane])
 		}
 
 	case ir.OpVInsert:
-		x := m.eval(fr, in.Operands[0])
-		s := m.eval(fr, in.Operands[1])
-		lane := m.eval(fr, in.Operands[2]).i
-		if lane < 0 || int(lane) >= in.Ty.Lanes {
+		x := m.eval(fr, &ops[0])
+		s := m.eval(fr, &ops[1])
+		lane := m.eval(fr, &ops[2]).i
+		if lane < 0 || int(lane) >= ci.lanes {
 			m.trap("vector lane %d out of range", lane)
 		}
-		x.vi[lane] = s.i
-		x.vf[lane] = s.f
-		fr.vals[in] = x
+		out := *x.lanes()
+		out.vi[lane] = s.i
+		out.vf[lane] = s.f
+		x.v = &out
+		m.set(fr, ci.dst, ci.vec, x)
 
 	case ir.OpVReduce:
-		x := m.eval(fr, in.Operands[0])
-		vt := in.Operands[0].Type()
-		if vt.Elem.Kind == ir.KF64 {
+		xl := m.eval(fr, &ops[0]).lanes()
+		if ci.float {
 			var sum float64
-			for l := 0; l < vt.Lanes; l++ {
-				sum += x.vf[l]
+			for l := 0; l < ci.lanes; l++ {
+				sum += xl.vf[l]
 			}
-			fr.vals[in] = fv(sum)
+			m.set(fr, ci.dst, ci.vec, fv(sum))
 		} else {
 			var sum int64
-			for l := 0; l < vt.Lanes; l++ {
-				sum += x.vi[l]
+			for l := 0; l < ci.lanes; l++ {
+				sum += xl.vi[l]
 			}
-			fr.vals[in] = iv(sum)
+			m.setInt(fr, ci, sum)
 		}
 
 	case ir.OpCall:
-		fr.vals[in] = m.execCall(fr, in)
+		m.set(fr, ci.dst, ci.vec, m.execCall(fr, ci))
 
 	default:
-		m.trap("unhandled opcode %s", in.Op)
+		m.trap("unhandled opcode %s", ci.op)
 	}
 }
 
-func (m *machine) intBin(fr *frame, in *ir.Instr) value {
-	x := m.eval(fr, in.Operands[0])
-	y := m.eval(fr, in.Operands[1])
-	one := func(a, b int64) int64 {
-		switch in.Op {
-		case ir.OpAdd:
-			return a + b
-		case ir.OpSub:
-			return a - b
-		case ir.OpMul:
-			return a * b
-		case ir.OpSDiv:
-			if b == 0 {
-				m.trap("integer division by zero")
-			}
-			return a / b
-		case ir.OpSRem:
-			if b == 0 {
-				m.trap("integer remainder by zero")
-			}
-			return a % b
-		case ir.OpAnd:
-			return a & b
-		case ir.OpOr:
-			return a | b
-		case ir.OpXor:
-			return a ^ b
-		case ir.OpShl:
-			return a << uint(b&63)
-		case ir.OpAShr:
-			return a >> uint(b&63)
-		}
-		m.trap("bad int op")
-		return 0
-	}
-	if in.Ty.Kind == ir.KVec {
-		var out value
-		for l := 0; l < in.Ty.Lanes; l++ {
-			out.vi[l] = one(x.vi[l], y.vi[l])
-		}
-		return out
-	}
-	return iv(one(x.i, y.i))
+// setInt defines ci's result as the integer scalar x.
+func (m *machine) setInt(fr *frame, ci *cinstr, x int64) {
+	fr.slots[ci.dst] = slot{value{i: x}, fr.gen}
 }
 
-func (m *machine) floatBin(fr *frame, in *ir.Instr) value {
-	x := m.eval(fr, in.Operands[0])
-	y := m.eval(fr, in.Operands[1])
-	one := func(a, b float64) float64 {
-		switch in.Op {
-		case ir.OpFAdd:
-			return a + b
-		case ir.OpFSub:
-			return a - b
-		case ir.OpFMul:
-			return a * b
-		case ir.OpFDiv:
-			return a / b
+// setVec defines ci's result as a vector with lanes out (i and f 0).
+func (m *machine) setVec(fr *frame, ci *cinstr, out *lanes) {
+	m.set(fr, ci.dst, ci.vec, value{v: out})
+}
+
+func (m *machine) intOp(op ir.Opcode, a, b int64) int64 {
+	switch op {
+	case ir.OpAdd:
+		return a + b
+	case ir.OpSub:
+		return a - b
+	case ir.OpMul:
+		return a * b
+	case ir.OpSDiv:
+		if b == 0 {
+			m.trap("integer division by zero")
 		}
-		m.trap("bad float op")
-		return 0
-	}
-	if in.Ty.Kind == ir.KVec {
-		var out value
-		for l := 0; l < in.Ty.Lanes; l++ {
-			out.vf[l] = one(x.vf[l], y.vf[l])
+		return a / b
+	case ir.OpSRem:
+		if b == 0 {
+			m.trap("integer remainder by zero")
 		}
-		return out
+		return a % b
+	case ir.OpAnd:
+		return a & b
+	case ir.OpOr:
+		return a | b
+	case ir.OpXor:
+		return a ^ b
+	case ir.OpShl:
+		return a << uint(b&63)
+	case ir.OpAShr:
+		return a >> uint(b&63)
 	}
-	return fv(one(x.f, y.f))
+	m.trap("bad int op")
+	return 0
+}
+
+func floatOp(op ir.Opcode, a, b float64) float64 {
+	switch op {
+	case ir.OpFAdd:
+		return a + b
+	case ir.OpFSub:
+		return a - b
+	case ir.OpFMul:
+		return a * b
+	}
+	return a / b
 }
 
 func b2i(b bool) int64 {

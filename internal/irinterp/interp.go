@@ -13,6 +13,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 
 	"github.com/oraql/go-oraql/internal/ir"
 )
@@ -84,7 +85,8 @@ func (r *Result) KernelNames() []string {
 // the combined result. Any simulated trap (out-of-bounds access,
 // division by zero, step limit) is returned as an error; the
 // verification layer treats those as failures, exactly like a crashed
-// benchmark binary.
+// benchmark binary. When one rank traps, its peers are aborted at their
+// next (or current) MPI exchange and the originating trap is returned.
 func Run(p *Program, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	res := &Result{KernelCycles: map[string]int64{}, KernelLaunches: map[string]int64{}}
@@ -102,18 +104,21 @@ func Run(p *Program, opts Options) (*Result, error) {
 		}
 	} else {
 		errs := make([]error, opts.NumRanks)
-		done := make(chan int, opts.NumRanks)
+		var wg sync.WaitGroup
 		for r := 0; r < opts.NumRanks; r++ {
+			wg.Add(1)
 			go func(r int) {
-				errs[r] = ranks[r].callMain()
-				done <- r
+				defer wg.Done()
+				if errs[r] = ranks[r].callMain(); errs[r] != nil {
+					boxes.fail()
+				}
 			}(r)
 		}
-		for i := 0; i < opts.NumRanks; i++ {
-			<-done
-		}
+		wg.Wait()
+		// A rank is aborted only after another failed on its own, so
+		// the lowest rank with any other error holds the originating trap.
 		for r, err := range errs {
-			if err != nil {
+			if err != nil && !errors.Is(err, errAborted) {
 				return nil, fmt.Errorf("rank %d: %w", r, err)
 			}
 		}
@@ -136,13 +141,32 @@ func Run(p *Program, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// value is a runtime scalar or vector.
+// value is a runtime scalar or vector. The scalar fields are inline;
+// the lanes of a vector live outside the struct, in a lane buffer of
+// the frame that defined it (nil reads as all-zero lanes), so copying
+// a value moves 24 bytes.
 type value struct {
 	i int64
 	f float64
-	// vector lanes (valid when the static type is a vector).
+	v *lanes
+}
+
+// lanes holds a vector's integer and float lanes. They are separate
+// registers, not two views of one bit pattern: a float splat leaves
+// the integer lanes at 0.
+type lanes struct {
 	vi [4]int64
 	vf [4]float64
+}
+
+var zeroLanes lanes
+
+// lanes returns the vector lanes of x; scalars read as zero lanes.
+func (x value) lanes() *lanes {
+	if x.v == nil {
+		return &zeroLanes
+	}
+	return x.v
 }
 
 func iv(x int64) value   { return value{i: x} }
@@ -155,11 +179,11 @@ type machine struct {
 	rank int
 	box  *mailboxes
 
-	mem      []byte
+	mem      memory
 	heapPtr  int64
 	stackPtr int64
 	globals  map[*ir.Global]int64
-	devGlob  bool // device globals materialized
+	funcs    map[*ir.Func]*funcInfo
 
 	out strings.Builder
 
@@ -169,15 +193,21 @@ type machine struct {
 	kernelLaunches       map[string]int64
 
 	// runtime state
-	ompTID   int
-	inKernel string
-	gpuTID   int64
-	gpuNtid  int64
-	tasks    []pendingTask
+	ompTID  int
+	kernel  bool  // inside a GPU kernel launch
+	kcycles int64 // cycles of the running kernel, flushed when it ends
+	gpuTID  int64
+	gpuNtid int64
+	tasks   []pendingTask
+
+	// phiVals and phiLanes hold an edge's phi operands while all of
+	// them are read before any phi is written.
+	phiVals  []value
+	phiLanes []lanes
 }
 
 type pendingTask struct {
-	fn  *ir.Func
+	fn  *funcInfo
 	ctx int64
 }
 
@@ -189,14 +219,20 @@ const (
 )
 
 func newMachine(p *Program, opts Options, rank int, boxes *mailboxes) *machine {
-	m := &machine{
+	return &machine{
 		prog: p, opts: opts, rank: rank, box: boxes,
-		mem:     make([]byte, 1<<20),
 		heapPtr: heapBase, stackPtr: stackBase,
 		globals:        map[*ir.Global]int64{},
+		funcs:          map[*ir.Func]*funcInfo{},
 		kernelCycles:   map[string]int64{},
 		kernelLaunches: map[string]int64{},
 	}
+}
+
+// layoutGlobals places and initializes the host, then the device
+// globals from globalBase, 16-byte aligned; a global shared by both
+// modules is placed once.
+func (m *machine) layoutGlobals() {
 	addr := int64(globalBase)
 	layout := func(mod *ir.Module) {
 		for _, g := range mod.Globals {
@@ -211,33 +247,39 @@ func newMachine(p *Program, opts Options, rank int, boxes *mailboxes) *machine {
 			for i, v := range g.InitF64 {
 				m.store64(addr+int64(8*i), math.Float64bits(v))
 			}
-			if len(g.InitI64) == 0 && len(g.InitF64) == 0 {
-				m.ensure(addr + g.Size)
+			if len(g.InitI64) == 0 && len(g.InitF64) == 0 && addr+g.Size > m.opts.MemLimit {
+				m.trap("memory limit exceeded at address %#x", addr+g.Size)
 			}
 			addr += g.Size
 		}
 	}
-	layout(p.Host)
-	if p.Device != nil {
-		layout(p.Device)
+	layout(m.prog.Host)
+	if m.prog.Device != nil {
+		layout(m.prog.Device)
 	}
-	return m
 }
+
+// errAborted is the error of a rank stopped because a peer trapped.
+var errAborted = errors.New("aborted: another rank failed")
+
+// rankAborted is the panic value that unwinds an aborted rank.
+type rankAborted struct{}
 
 func (m *machine) callMain() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if te, ok := r.(trapError); ok {
+			switch te := r.(type) {
+			case trapError:
 				err = errors.New(string(te))
-				return
+			case rankAborted:
+				err = errAborted
+			default:
+				panic(r)
 			}
-			panic(r)
 		}
 	}()
-	_, err2 := m.call(m.prog.Host.FuncByName("main"), nil)
-	if err2 != nil {
-		return err2
-	}
+	m.layoutGlobals()
+	m.call(m.newFrame(m.prepare(m.prog.Host.FuncByName("main"))))
 	return nil
 }
 
@@ -247,55 +289,59 @@ func (m *machine) trap(format string, args ...any) {
 	panic(trapError(fmt.Sprintf("simulated trap: "+format, args...)))
 }
 
-// ensure grows memory to cover addr (exclusive bound).
-func (m *machine) ensure(addr int64) {
-	if addr <= int64(len(m.mem)) {
-		return
-	}
-	if addr > m.opts.MemLimit {
-		m.trap("memory limit exceeded at address %#x", addr)
-	}
-	n := int64(len(m.mem))
-	for n < addr {
-		n *= 2
-	}
-	if n > m.opts.MemLimit {
-		n = m.opts.MemLimit
-	}
-	grown := make([]byte, n)
-	copy(grown, m.mem)
-	m.mem = grown
-}
-
-func (m *machine) checkAddr(addr, size int64) {
-	if addr < globalBase || addr+size > m.opts.MemLimit {
-		m.trap("out-of-bounds access at %#x (size %d)", addr, size)
-	}
-	m.ensure(addr + size)
-}
-
-func (m *machine) store64(addr int64, bits uint64) {
-	m.checkAddr(addr, 8)
-	for i := 0; i < 8; i++ {
-		m.mem[addr+int64(i)] = byte(bits >> (8 * i))
-	}
-}
-
-func (m *machine) load64(addr int64) uint64 {
-	m.checkAddr(addr, 8)
-	var bits uint64
-	for i := 0; i < 8; i++ {
-		bits |= uint64(m.mem[addr+int64(i)]) << (8 * i)
-	}
-	return bits
-}
-
-// frame is one function activation.
+// frame is one function activation. slots holds the results of the
+// function's instructions by slot number; a slot counts as defined only
+// when its gen matches the frame's, so reusing a pooled frame never
+// needs clearing and reading a slot before it is written traps.
 type frame struct {
-	fn       *ir.Func
+	fi       *funcInfo
+	slots    []slot
+	gen      uint32
+	lanes    []lanes // one buffer per vector-typed slot
 	args     []value
-	vals     map[*ir.Instr]value
 	stackTop int64 // saved stack pointer for alloca unwinding
+}
+
+type slot struct {
+	val value
+	gen uint32
+}
+
+// newFrame returns a fresh activation of fi, reusing a pooled frame
+// when one is free.
+func (m *machine) newFrame(fi *funcInfo) *frame {
+	var fr *frame
+	if n := len(fi.free); n > 0 {
+		fr = fi.free[n-1]
+		fi.free = fi.free[:n-1]
+		fr.args = fr.args[:0]
+	} else {
+		fr = &frame{fi: fi, slots: make([]slot, fi.nslots), lanes: make([]lanes, fi.nvec)}
+	}
+	fr.gen++
+	if fr.gen == 0 { // wrapped: forget every stale mark
+		clear(fr.slots)
+		fr.gen = 1
+	}
+	return fr
+}
+
+// set defines a result slot. A vector's lanes are copied into the
+// slot's lane buffer (or, for a vector landing in a scalar-typed slot,
+// onto the heap), so the value never aliases lanes another slot may
+// overwrite.
+func (m *machine) set(fr *frame, dst, vec int32, x value) {
+	if x.v != nil {
+		if vec >= 0 {
+			l := &fr.lanes[vec]
+			*l = *x.v
+			x.v = l
+		} else {
+			l := *x.v
+			x.v = &l
+		}
+	}
+	fr.slots[dst] = slot{x, fr.gen}
 }
 
 // cost is the cycle cost model (the "wall time" stand-in).
@@ -322,12 +368,11 @@ func cost(in *ir.Instr) int64 {
 	}
 }
 
-func (m *machine) tick(in *ir.Instr) {
-	c := cost(in)
-	if m.inKernel != "" {
+func (m *machine) tick(c int64) {
+	if m.kernel {
 		m.devInstrs++
 		m.devCycles += c
-		m.kernelCycles[m.inKernel] += c
+		m.kcycles += c
 	} else {
 		m.instrs++
 		m.cycles += c
@@ -337,97 +382,108 @@ func (m *machine) tick(in *ir.Instr) {
 	}
 }
 
-// call runs fn with args and returns its return value.
-func (m *machine) call(fn *ir.Func, args []value) (value, error) {
-	fr := &frame{fn: fn, args: args, vals: map[*ir.Instr]value{}, stackTop: m.stackPtr}
-	defer func() { m.stackPtr = fr.stackTop }()
-
-	block := fn.Entry()
-	var prev *ir.Block
+// call runs the activation fr, whose arguments are already set, and
+// returns its return value. fr goes back to the pool on return.
+func (m *machine) call(fr *frame) value {
+	fr.stackTop = m.stackPtr
+	fi := fr.fi
+	e := fi.entry
 	for {
-		// Phi nodes evaluate in parallel against the incoming edge.
-		var phiVals []value
-		var phis []*ir.Instr
-		for _, in := range block.Instrs {
-			if in.Dead() || in.Op != ir.OpPhi {
-				continue
-			}
-			found := false
-			for i, from := range in.Incoming {
-				if from == prev {
-					phiVals = append(phiVals, m.eval(fr, in.Operands[i]))
-					phis = append(phis, in)
-					found = true
-					break
-				}
-			}
-			if !found {
-				m.trap("phi in %s/%s has no incoming for predecessor", fn.Name, block.Name)
-			}
-		}
-		for i, phi := range phis {
-			fr.vals[phi] = phiVals[i]
-			m.tick(phi)
-		}
-
-		redirect := false
-		for _, in := range block.Instrs {
-			if in.Dead() || in.Op == ir.OpPhi {
-				continue
-			}
-			m.tick(in)
-			switch in.Op {
+		b := m.enter(fr, e)
+		for i := range b.body {
+			ci := &b.body[i]
+			m.tick(ci.cost)
+			switch ci.op {
 			case ir.OpBr:
-				next := in.Succs[0]
-				if len(in.Succs) == 2 && m.eval(fr, in.Operands[0]).i == 0 {
-					next = in.Succs[1]
+				e = ci.succ[0]
+				if len(ci.succ) == 2 && m.eval(fr, &ci.ops[0]).i == 0 {
+					e = ci.succ[1]
 				}
-				prev, block = block, next
-				redirect = true
+				if e == nil {
+					m.trap("branch in %s/%s has no target", fi.fn.Name, b.blk.Name)
+				}
 			case ir.OpRet:
-				if len(in.Operands) > 0 {
-					return m.eval(fr, in.Operands[0]), nil
+				var ret value
+				if len(ci.ops) > 0 {
+					ret = m.eval(fr, &ci.ops[0])
 				}
-				return value{}, nil
+				m.stackPtr = fr.stackTop
+				fi.free = append(fi.free, fr)
+				return ret
 			default:
-				m.exec(fr, in)
-			}
-			if redirect {
-				break
+				m.exec(fr, ci)
 			}
 		}
-		if !redirect {
-			m.trap("block %s/%s fell through without terminator", fn.Name, block.Name)
+		if !b.term {
+			m.trap("block %s/%s fell through without terminator", fi.fn.Name, b.blk.Name)
 		}
 	}
 }
 
-// eval resolves an operand to its runtime value.
-func (m *machine) eval(fr *frame, v ir.Value) value {
-	switch x := v.(type) {
-	case *ir.Const:
-		if x.Ty == ir.F64 {
-			return fv(x.F)
-		}
-		return iv(x.I)
-	case *ir.Global:
-		a, ok := m.globals[x]
-		if !ok {
-			m.trap("unknown global %s", x.Name)
-		}
-		return iv(a)
-	case *ir.Arg:
-		if x.ID >= len(fr.args) {
-			m.trap("missing argument %d of %s", x.ID, fr.fn.Name)
-		}
-		return fr.args[x.ID]
-	case *ir.Instr:
-		val, ok := fr.vals[x]
-		if !ok {
-			m.trap("use of undefined value %s in %s", x.Ident(), fr.fn.Name)
-		}
-		return val
+// enter takes edge e: its phis read their operands in parallel, then
+// are written and counted in order. It returns the target block.
+func (m *machine) enter(fr *frame, e *edge) *block {
+	cs := e.copies
+	if len(m.phiLanes) < len(cs) {
+		m.phiLanes = make([]lanes, len(cs))
 	}
-	m.trap("unknown value kind %T", v)
+	vals := m.phiVals[:0]
+	for i := range cs {
+		c := &cs[i]
+		if c.missing {
+			m.missingIncoming(fr, e)
+		}
+		x := m.eval(fr, &c.src)
+		if x.v != nil {
+			m.phiLanes[i] = *x.v
+			x.v = &m.phiLanes[i]
+		}
+		vals = append(vals, x)
+	}
+	for i := range cs {
+		m.set(fr, cs[i].dst, cs[i].vec, vals[i])
+		m.tick(0)
+	}
+	m.phiVals = vals
+	return e.to
+}
+
+func (m *machine) missingIncoming(fr *frame, e *edge) {
+	m.trap("phi in %s/%s has no incoming for predecessor", fr.fi.fn.Name, e.to.blk.Name)
+}
+
+// eval resolves an operand to its runtime value.
+func (m *machine) eval(fr *frame, o *operand) value {
+	if o.kind == kSlot {
+		s := &fr.slots[o.idx]
+		if s.gen != fr.gen {
+			m.undefined(fr, o)
+		}
+		return s.val
+	}
+	if o.kind == kConst {
+		return o.val
+	}
+	return m.evalOther(fr, o)
+}
+
+func (m *machine) evalOther(fr *frame, o *operand) value {
+	switch o.kind {
+	case kArg:
+		if int(o.idx) >= len(fr.args) {
+			m.trap("missing argument %d of %s", o.idx, fr.fi.fn.Name)
+		}
+		return fr.args[o.idx]
+	case kUndef:
+		m.undefined(fr, o)
+	}
+	if g, ok := o.v.(*ir.Global); ok {
+		m.trap("unknown global %s", g.Name)
+	}
+	m.trap("unknown value kind %T", o.v)
 	return value{}
+}
+
+func (m *machine) undefined(fr *frame, o *operand) {
+	m.trap("use of undefined value %s in %s", o.v.Ident(), fr.fi.fn.Name)
 }

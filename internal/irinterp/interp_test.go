@@ -1,10 +1,13 @@
 package irinterp
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/oraql/go-oraql/internal/ir"
 )
@@ -501,5 +504,278 @@ func TestIntArithmeticGroundTruthProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// runErr runs m on one rank and returns the trap, failing the test if
+// the run succeeds.
+func runErr(t *testing.T, m *ir.Module, opts Options) string {
+	t.Helper()
+	_, err := Run(&Program{Host: m}, opts)
+	if err == nil {
+		t.Fatal("run succeeded, want a trap")
+	}
+	return err.Error()
+}
+
+func TestLoadStoreStraddlingBoundaries(t *testing.T) {
+	for _, base := range []int64{3 * pageSize, heapBase, stackBase} {
+		m, b := buildMain(t)
+		at := ir.ConstInt(base - 4)
+		b.Store(ir.ConstInt(0x0102030405060708), at, "")
+		b.Call(ir.Void, "__print_i64", b.Load(ir.I64, at, ""))
+		b.Call(ir.Void, "__print_str", ir.ConstStr(" "))
+		b.Call(ir.Void, "__print_i64", b.Load(ir.I64, ir.ConstInt(base), ""))
+		b.Call(ir.Void, "__print_str", ir.ConstStr(" "))
+		b.Call(ir.Void, "__print_i64", b.Load(ir.I64, ir.ConstInt(base-8), ""))
+		b.Ret(ir.ConstInt(0))
+		res := runModule(t, m, Options{})
+		want := fmt.Sprintf("%d %d %d", 0x0102030405060708, 0x01020304, 0x0506070800000000)
+		if res.Stdout != want {
+			t.Errorf("base %#x: stdout = %q, want %q", base, res.Stdout, want)
+		}
+	}
+}
+
+func TestMemCpyMemSetAcrossPage(t *testing.T) {
+	m, b := buildMain(t)
+	p := int64(5 * pageSize)
+	for i := int64(0); i < 4; i++ {
+		b.Store(ir.ConstInt(i+1), ir.ConstInt(p-16+8*i), "")
+	}
+	// Overlapping copies in both directions across the boundary.
+	b.MemCpy(ir.ConstInt(p-12), ir.ConstInt(p-16), ir.ConstInt(32))
+	b.MemCpy(ir.ConstInt(p-16), ir.ConstInt(p-12), ir.ConstInt(32))
+	b.MemSet(ir.ConstInt(p+12), ir.ConstInt(0xff), ir.ConstInt(8))
+	for i := int64(0); i < 5; i++ {
+		b.Call(ir.Void, "__print_i64", b.Load(ir.I64, ir.ConstInt(p-16+8*i), ""))
+		b.Call(ir.Void, "__print_str", ir.ConstStr(" "))
+	}
+	b.Ret(ir.ConstInt(0))
+	res := runModule(t, m, Options{})
+	// Two opposite 4-byte shifts restore the four words; the memset
+	// then writes the upper half of word 3 and the lower half of word 4.
+	want := fmt.Sprintf("1 2 3 %d %d ", int64(-1)<<32|4, 0xffffffff)
+	if res.Stdout != want {
+		t.Errorf("stdout = %q, want %q", res.Stdout, want)
+	}
+}
+
+// TestMemoryMatchesFlatModel drives the page table with random
+// fills, moves and 8-byte accesses around page boundaries and checks
+// every byte against a flat slice.
+func TestMemoryMatchesFlatModel(t *testing.T) {
+	const window = 4 * pageSize
+	base := int64(6 * pageSize)
+	var mem memory
+	flat := make([]byte, window)
+	r := rand.New(rand.NewSource(1))
+	pick := func() int64 {
+		// Mostly near a page boundary, sometimes anywhere.
+		if r.Intn(4) == 0 {
+			return int64(r.Intn(window - 64))
+		}
+		return int64(1+r.Intn(3))*pageSize - 32 + int64(r.Intn(32))
+	}
+	for step := 0; step < 2000; step++ {
+		a, c := pick(), pick()
+		n := int64(r.Intn(64))
+		switch r.Intn(4) {
+		case 0:
+			v := byte(r.Intn(3)) // zero fills take the skip path
+			mem.fill(base+a, n, v)
+			for i := int64(0); i < n; i++ {
+				flat[a+i] = v
+			}
+		case 1:
+			if r.Intn(8) == 0 {
+				n = int64(r.Intn(3 * pageSize / 2)) // larger than a page
+				if a+n > window {
+					n = window - a
+				}
+				if c+n > window {
+					n = window - c
+				}
+			}
+			mem.move(base+a, base+c, n)
+			copy(flat[a:a+n], flat[c:c+n])
+		case 2:
+			buf := make([]byte, n)
+			r.Read(buf)
+			mem.write(base+a, buf)
+			copy(flat[a:], buf)
+		case 3:
+			buf := make([]byte, n)
+			mem.read(base+a, buf)
+			if !bytes.Equal(buf, flat[a:a+n]) {
+				t.Fatalf("step %d: read at %#x differs", step, a)
+			}
+		}
+	}
+	got := make([]byte, window)
+	mem.read(base, got)
+	if !bytes.Equal(got, flat) {
+		t.Fatal("final memory differs from the flat model")
+	}
+}
+
+func TestUntouchedMemoryReadsZero(t *testing.T) {
+	m, b := buildMain(t)
+	for _, a := range []int64{globalBase, heapBase + 12345*8, stackBase + 1<<20, 64<<20 - 8} {
+		b.Call(ir.Void, "__print_i64", b.Load(ir.I64, ir.ConstInt(a), ""))
+	}
+	s := b.Call(ir.I64, "__checksum_i64", ir.ConstInt(heapBase), ir.ConstInt(1<<14))
+	b.Call(ir.Void, "__print_i64", b.Bin(ir.OpXor, s, ir.ConstInt(emptyChecksum(1<<14)), ""))
+	b.Ret(ir.ConstInt(0))
+	res := runModule(t, m, Options{})
+	if res.Stdout != "00000" {
+		t.Errorf("stdout = %q, want all zero", res.Stdout)
+	}
+}
+
+// emptyChecksum is __checksum_i64 over n zero words.
+func emptyChecksum(n int) int64 {
+	var acc int64 = 1469598103934665603
+	for i := 0; i < n; i++ {
+		acc *= 1099511628211
+	}
+	return acc
+}
+
+func TestAllocaRezeroedAfterCalleeReturns(t *testing.T) {
+	m := ir.NewModule("t")
+	_, wb := ir.NewFunc(m, "dirty", ir.Void)
+	a := wb.Alloca(32, "a")
+	wb.MemSet(a, ir.ConstInt(0x5a), ir.ConstInt(32))
+	wb.Ret(nil)
+	_, rb := ir.NewFunc(m, "fresh", ir.I64)
+	c := rb.Alloca(32, "c")
+	g := rb.GEP(c, nil, 0, 24, "g")
+	rb.Ret(rb.Bin(ir.OpAdd, rb.Load(ir.I64, c, ""), rb.Load(ir.I64, g, ""), ""))
+	_, b := ir.NewFunc(m, "main", ir.I64)
+	b.Call(ir.Void, "dirty")
+	b.Call(ir.Void, "__print_i64", b.Call(ir.I64, "fresh"))
+	b.Ret(ir.ConstInt(0))
+	if res := runModule(t, m, Options{}); res.Stdout != "0" {
+		t.Errorf("reused stack slot reads %q, want 0", res.Stdout)
+	}
+}
+
+func TestMemLimitBelowStackTraps(t *testing.T) {
+	m, b := buildMain(t)
+	b.Alloca(16, "a")
+	b.Ret(ir.ConstInt(0))
+	got := runErr(t, m, Options{MemLimit: 32 << 20})
+	if want := "simulated trap: out-of-bounds access at 0x3000000 (size 16)"; got != want {
+		t.Errorf("trap = %q, want %q", got, want)
+	}
+}
+
+func TestGlobalLayoutMemoryLimitTraps(t *testing.T) {
+	m := ir.NewModule("t")
+	m.AddGlobal(&ir.Global{Name: "small", Size: 8})
+	m.AddGlobal(&ir.Global{Name: "huge", Size: 2 << 20})
+	_, b := ir.NewFunc(m, "main", ir.I64)
+	b.Ret(ir.ConstInt(0))
+	got := runErr(t, m, Options{MemLimit: 1 << 20})
+	if want := "simulated trap: memory limit exceeded at address 0x201010"; got != want {
+		t.Errorf("trap = %q, want %q", got, want)
+	}
+}
+
+// TestRankTrapAbortsPeers checks that a rank trapping before an MPI
+// exchange aborts the peer blocked on it, and that Run reports the
+// originating trap rather than the peer's abort.
+func TestRankTrapAbortsPeers(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		bad     int64 // the rank that divides by zero
+		collect string
+	}{
+		{"sendrecv", 1, "__mpi_sendrecv"},
+		{"allreduce-leaf", 1, "__mpi_allreduce_f64"},
+		{"allreduce-root", 0, "__mpi_allreduce_f64"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := ir.NewModule("t")
+			_, b := ir.NewFunc(m, "main", ir.I64)
+			buf := b.Alloca(8, "buf")
+			rbuf := b.Alloca(8, "rbuf")
+			rank := b.Call(ir.I64, "__mpi_rank")
+			peer := b.Bin(ir.OpSub, ir.ConstInt(1), rank, "peer")
+			bad := b.NewBlock("bad")
+			exchange := b.NewBlock("exchange")
+			b.CondBr(b.ICmp(ir.PredEQ, rank, ir.ConstInt(tc.bad), "isbad"), bad, exchange)
+			b.SetBlock(bad)
+			b.Bin(ir.OpSDiv, ir.ConstInt(1), b.Bin(ir.OpSub, rank, rank, "z"), "boom")
+			b.Br(exchange)
+			b.SetBlock(exchange)
+			if tc.collect == "__mpi_sendrecv" {
+				b.Call(ir.Void, tc.collect, buf, rbuf, ir.ConstInt(8), peer, peer)
+			} else {
+				b.Call(ir.F64, tc.collect, ir.ConstFloat(1))
+			}
+			b.Ret(ir.ConstInt(0))
+
+			done := make(chan error, 1)
+			go func() {
+				_, err := Run(&Program{Host: m}, Options{NumRanks: 2})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				want := fmt.Sprintf("rank %d: simulated trap: integer division by zero", tc.bad)
+				if err == nil || err.Error() != want {
+					t.Errorf("err = %v, want %q", err, want)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("Run still blocked 1s after a rank trapped")
+			}
+		})
+	}
+}
+
+// TestPhiSwapReadsInParallel swaps a scalar pair and a vector pair
+// through phis each iteration: every phi of an edge must read its
+// operand before any phi of the edge is written, lanes included.
+func TestPhiSwapReadsInParallel(t *testing.T) {
+	m := ir.NewModule("t")
+	_, b := ir.NewFunc(m, "main", ir.I64)
+	entry := b.Block()
+	header := b.NewBlock("header")
+	body := b.NewBlock("body")
+	exit := b.NewBlock("exit")
+	va := b.VSplat(ir.V4F64, ir.ConstFloat(1), "va")
+	vb := b.VSplat(ir.V4F64, ir.ConstFloat(10), "vb")
+	b.Br(header)
+	b.SetBlock(header)
+	i := b.Phi(ir.I64, "i")
+	s := b.Phi(ir.I64, "s")
+	u := b.Phi(ir.I64, "u")
+	x := b.Phi(ir.V4F64, "x")
+	y := b.Phi(ir.V4F64, "y")
+	b.CondBr(b.ICmp(ir.PredLT, i, ir.ConstInt(3), "cmp"), body, exit)
+	b.SetBlock(body)
+	i2 := b.Bin(ir.OpAdd, i, ir.ConstInt(1), "i2")
+	b.Br(header)
+	b.SetBlock(exit)
+	b.Call(ir.Void, "__print_i64", s)
+	b.Call(ir.Void, "__print_str", ir.ConstStr(" "))
+	b.Call(ir.Void, "__print_i64", u)
+	b.Call(ir.Void, "__print_str", ir.ConstStr(" "))
+	b.Call(ir.Void, "__print_f64", b.VReduce(x, "rx"))
+	b.Call(ir.Void, "__print_str", ir.ConstStr(" "))
+	b.Call(ir.Void, "__print_f64", b.VReduce(y, "ry"))
+	b.Ret(ir.ConstInt(0))
+	for _, in := range []struct {
+		phi        *ir.Instr
+		init, back ir.Value
+	}{{i, ir.ConstInt(0), i2}, {s, ir.ConstInt(1), u}, {u, ir.ConstInt(2), s}, {x, va, y}, {y, vb, x}} {
+		ir.AddIncoming(in.phi, in.init, entry)
+		ir.AddIncoming(in.phi, in.back, body)
+	}
+	// Three swaps leave each pair swapped.
+	if res := runModule(t, m, Options{}); res.Stdout != "2 1 40 4" {
+		t.Errorf("stdout = %q, want %q", res.Stdout, "2 1 40 4")
 	}
 }
