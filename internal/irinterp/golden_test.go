@@ -106,13 +106,23 @@ func goldenLines(t *testing.T) []string {
 	for _, ec := range edgeCases() {
 		run("edge/"+ec.name, "-", ec.prog, ec.opts)
 	}
+	// The fully optimistic builds come last, so the lines above keep
+	// their positions.
+	for _, c := range apps.All() {
+		cr, err := optimisticBuild(c)
+		if err != nil {
+			t.Fatalf("%s optimistic: compile: %v", c.ID, err)
+		}
+		run(c.ID, "optimistic", cr.Program, c.Run)
+	}
 	return lines
 }
 
 // TestGoldenInterpreter pins every observable of the interpreter —
 // stdout, instruction and cycle counters, per-kernel maps and trap
-// texts — over all Fig. 4 configurations, a progen corpus and a set of
-// hand-built edge cases. Regenerate with -update only when a change to
+// texts — over all Fig. 4 configurations (unoptimised, -O3 and fully
+// optimistic), a progen corpus and a set of hand-built edge cases.
+// Regenerate with -update only when a change to
 // the simulated machine's semantics is intended.
 func TestGoldenInterpreter(t *testing.T) {
 	got := strings.Join(goldenLines(t), "\n") + "\n"

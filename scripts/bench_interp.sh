@@ -1,7 +1,8 @@
 #!/bin/sh
 # Records the interpreter benchmark into BENCH_interp.json: the speed
 # of internal/irinterp over the 16 Fig. 4 configurations at OptLevel -1
-# and 3 (BenchmarkInterp_AllConfigs), for a parent commit and for the
+# and 3 and as their fully optimistic ORAQL builds
+# (BenchmarkInterp_AllConfigs), for a parent commit and for the
 # working tree, in alternating pairs so that host drift hits both rows.
 #
 # Run from the repo root:
@@ -58,7 +59,7 @@ END {
 	nrow = split("parent change", rows, " ")
 	printf "{\n"
 	printf "  \"benchmark\": \"BenchmarkInterp_AllConfigs\",\n"
-	printf "  \"runs\": \"16 Fig. 4 configurations x OptLevel {-1, 3}, %d runs per iteration\",\n", runs
+	printf "  \"runs\": \"16 Fig. 4 configurations x {O-1, O3, fully optimistic}, %d runs per iteration\",\n", runs
 	printf "  \"pairs\": %d,\n", count
 	printf "  \"rows\": [\n"
 	for (r = 1; r <= nrow; r++) {
