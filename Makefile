@@ -1,9 +1,13 @@
 GO ?= go
 
-.PHONY: tier1 vet build test race bench bench-interp bench-compile bench-serve bench-diskcache bench-cluster bench-warehouse cluster-smoke serve-smoke campaign-smoke warehouse-smoke fuzz fuzz-smoke check
+.PHONY: tier1 fmt-check vet build test race bench bench-interp bench-compile bench-serve bench-diskcache bench-cluster bench-warehouse cluster-smoke serve-smoke campaign-smoke warehouse-smoke fuzz fuzz-smoke check
 
 # tier1 is the gate the roadmap pins: it must stay green.
 tier1: build test
+
+# fmt-check fails when any Go file is not gofmt-formatted, listing it.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -108,4 +112,4 @@ SEED ?= 1
 fuzz:
 	$(GO) run ./cmd/oraql-fuzz -n $(N) -seed $(SEED) -v $(ARGS)
 
-check: vet tier1 race bench bench-interp bench-compile bench-serve bench-diskcache warehouse-smoke bench-warehouse serve-smoke campaign-smoke
+check: fmt-check vet tier1 race bench bench-interp bench-compile bench-serve bench-diskcache warehouse-smoke bench-warehouse serve-smoke campaign-smoke

@@ -90,9 +90,9 @@ type (
 		x expr
 	}
 	ifStmt struct {
-		cond       expr
-		then, alt  []stmt // alt may hold a single nested ifStmt (else if)
-		line       int
+		cond      expr
+		then, alt []stmt // alt may hold a single nested ifStmt (else if)
+		line      int
 	}
 	forStmt struct {
 		name string

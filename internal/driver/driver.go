@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 
 	"github.com/oraql/go-oraql/internal/diskcache"
 	"github.com/oraql/go-oraql/internal/irinterp"
@@ -33,7 +34,7 @@ import (
 // compiler invocation, probing scope, run options, and verification.
 type BenchSpec struct {
 	Name    string
-	Compile pipeline.Config // ORAQL field is managed by the driver
+	Compile pipeline.Config // ORAQL and Lowered fields are managed by the driver
 	Run     irinterp.Options
 	Verify  verify.Spec // empty references: baseline output is recorded
 	ORAQL   oraql.Options
@@ -72,6 +73,9 @@ type Outcome struct {
 
 // Result is the full probing outcome.
 type Result struct {
+	// Spec is the campaign's own copy of the probed BenchSpec, with the
+	// settings the driver filled in: the cache wiring, the recorded
+	// verify references and the campaign's frontend result.
 	Spec *BenchSpec
 
 	// Baseline is the non-ORAQL compilation (the reference).
@@ -134,8 +138,21 @@ func Probe(spec *BenchSpec) (*Result, error) {
 // consumed test, speculative workers inherit it, and it is threaded
 // into every compilation (pipeline.CompileContext), so cancelling it
 // stops probing mid-pipeline, not only between tests.
+//
+// The caller's spec is never written: the campaign works on a private
+// copy, so a spec can be edited and probed again, or probed
+// concurrently, without one campaign seeing another's baseline output
+// or frontend result.
 func ProbeContext(ctx context.Context, spec *BenchSpec) (*Result, error) {
-	st := &state{ctx: ctx, spec: spec}
+	sp := *spec
+	sp.Verify = verify.Spec{
+		References:   slices.Clone(spec.Verify.References),
+		MaskPatterns: spec.Verify.MaskPatterns,
+	}
+	// Every test of the campaign compiles the same source: lower it
+	// once, lazily, and give each compilation a clone.
+	sp.Compile.Lowered = &pipeline.Lowered{}
+	st := &state{ctx: ctx, spec: &sp}
 	return st.probe()
 }
 
@@ -166,6 +183,11 @@ func (st *state) execute(opts *oraql.Options) (*Outcome, error) {
 	cfg := st.spec.Compile
 	cfg.Name = st.spec.Name
 	cfg.ORAQL = opts
+	// The baseline's content hashes identify the campaign and key the
+	// per-function verdict history; no other compilation's are read.
+	if st.spec.Cache != nil && opts == nil {
+		cfg.WantContentHashes = true
+	}
 	cr, err := pipeline.CompileContext(st.ctx, cfg)
 	if err != nil {
 		return nil, err
@@ -221,14 +243,10 @@ func (st *state) probe() (*Result, error) {
 	if err := spec.Verify.Compile(); err != nil {
 		return nil, fmt.Errorf("driver: verify spec: %w", err)
 	}
-	if spec.Cache != nil {
+	if spec.Cache != nil && spec.Compile.DiskCache == nil {
 		// The shared store serves the compile cache for the non-ORAQL
-		// baseline/final compilations; content hashes identify the
-		// campaign and key the per-function verdict history.
-		if spec.Compile.DiskCache == nil {
-			spec.Compile.DiskCache = spec.Cache
-		}
-		spec.Compile.WantContentHashes = true
+		// baseline compilation.
+		spec.Compile.DiskCache = spec.Cache
 	}
 
 	// Step 1: baseline compile and run without ORAQL.

@@ -2,8 +2,10 @@ package driver
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
+	"github.com/oraql/go-oraql/internal/diskcache"
 	"github.com/oraql/go-oraql/internal/oraql"
 	"github.com/oraql/go-oraql/internal/pipeline"
 )
@@ -261,4 +263,35 @@ func TestProbeMustAliasMode(t *testing.T) {
 	}
 	t.Logf("must-alias mode: fullyOptimistic=%v pess=%d",
 		res.FullyOptimistic, res.Final.Compile.ORAQLStats().UniquePessimistic)
+}
+
+// TestProbeLeavesCallerSpecAlone probes one spec twice, editing its
+// source in between: each campaign records its own program's baseline
+// (not the first program's output or frontend result), and the
+// caller's spec keeps exactly what the caller set.
+func TestProbeLeavesCallerSpecAlone(t *testing.T) {
+	store, err := diskcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &BenchSpec{Name: "hello", Compile: pipeline.Config{Source: helloSrc}, Cache: store, Workers: 2}
+	first, err := Probe(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Compile.DiskCache != nil || spec.Compile.WantContentHashes || spec.Compile.Lowered != nil ||
+		spec.Verify.References != nil || first.Spec == spec {
+		t.Fatalf("probe wrote into the caller's spec: %+v", spec.Compile)
+	}
+	spec.Compile.Source = strings.Replace(helloSrc, `"sum="`, `"total="`, 1)
+	second, err := Probe(spec)
+	if err != nil {
+		t.Fatalf("probe of the edited program: %v", err)
+	}
+	if got := second.Baseline.Run.Stdout; !strings.HasPrefix(got, "total=") || second.Final.Run.Stdout != got {
+		t.Errorf("edited program: baseline %q, final %q; want its own total= output", got, second.Final.Run.Stdout)
+	}
+	if got := second.Spec.Verify.References; len(got) != 1 || got[0] != second.Baseline.Run.Stdout {
+		t.Errorf("edited program verified against %q", got)
+	}
 }

@@ -29,14 +29,14 @@ import (
 type objClass int
 
 const (
-	objUnknown objClass = iota
-	objAlloca           // a stack slot local to the function
-	objGlobal           // a module global
-	objArg              // a function parameter (may alias anything inbound)
-	objNoAliasArg       // a parameter carrying the noalias attribute
-	objCall             // a call result (fresh or escaped, can't tell)
-	objMerge            // phi/select — control-dependent provenance
-	objIndirect         // loaded from memory — arbitrary provenance
+	objUnknown    objClass = iota
+	objAlloca              // a stack slot local to the function
+	objGlobal              // a module global
+	objArg                 // a function parameter (may alias anything inbound)
+	objNoAliasArg          // a parameter carrying the noalias attribute
+	objCall                // a call result (fresh or escaped, can't tell)
+	objMerge               // phi/select — control-dependent provenance
+	objIndirect            // loaded from memory — arbitrary provenance
 )
 
 // baseObject walks GEP chains to the underlying object and reports

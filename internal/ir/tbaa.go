@@ -1,5 +1,10 @@
 package ir
 
+import (
+	"maps"
+	"slices"
+)
+
 // TBAATree is the type-based alias analysis metadata tree. Tags form a
 // forest rooted at "omnipotent" (the analogue of LLVM's omnipotent
 // char); two accesses may alias under TBAA only if one tag is an
@@ -35,6 +40,14 @@ func (t *TBAATree) Add(tag, parent string) {
 	}
 	t.parent[tag] = parent
 	t.order = append(t.order, tag)
+}
+
+// clone returns an independent copy of t.
+func (t *TBAATree) clone() *TBAATree {
+	if t == nil {
+		return nil
+	}
+	return &TBAATree{parent: maps.Clone(t.parent), order: slices.Clone(t.order)}
 }
 
 // Has reports whether tag exists in the tree (the root always exists).

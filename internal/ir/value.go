@@ -94,9 +94,12 @@ func (c *Const) VID() int64 {
 
 func hashF64(f float64) uint32 {
 	// FNV-1a over the decimal rendering; only used to give distinct
-	// float constants distinct-ish VIDs for ordering purposes.
+	// float constants distinct-ish VIDs for ordering purposes. The
+	// rendering is fmt's %g, byte for byte ("+Inf" included), formatted
+	// into a stack buffer: VIDs must not change with the formatter.
+	var buf [32]byte
 	h := uint32(2166136261)
-	for _, b := range []byte(fmt.Sprintf("%g", f)) {
+	for _, b := range strconv.AppendFloat(buf[:0], f, 'g', -1, 64) {
 		h = (h ^ uint32(b)) * 16777619
 	}
 	return h

@@ -31,7 +31,7 @@ func (m *machine) exec(fr *frame, ci *cinstr) {
 				out.vi[l] = int64(bits)
 				out.vf[l] = math.Float64frombits(bits)
 			}
-			m.setVec(fr, ci, &out)
+			m.setVec(fr, ci, out)
 		case ci.float:
 			m.set(fr, ci.dst, ci.vec, fv(math.Float64frombits(m.load64(addr))))
 		default:
@@ -95,7 +95,7 @@ func (m *machine) exec(fr *frame, ci *cinstr) {
 			for l := 0; l < ci.lanes; l++ {
 				out.vi[l] = m.intOp(ci.op, xl.vi[l], yl.vi[l])
 			}
-			m.setVec(fr, ci, &out)
+			m.setVec(fr, ci, out)
 		} else {
 			m.setInt(fr, ci, m.intOp(ci.op, x.i, y.i))
 		}
@@ -109,7 +109,7 @@ func (m *machine) exec(fr *frame, ci *cinstr) {
 			for l := 0; l < ci.lanes; l++ {
 				out.vf[l] = floatOp(ci.op, xl.vf[l], yl.vf[l])
 			}
-			m.setVec(fr, ci, &out)
+			m.setVec(fr, ci, out)
 		} else {
 			m.set(fr, ci.dst, ci.vec, fv(floatOp(ci.op, x.f, y.f)))
 		}
@@ -122,7 +122,7 @@ func (m *machine) exec(fr *frame, ci *cinstr) {
 			for l := 0; l < ci.lanes; l++ {
 				out.vf[l] = float64(xl.vi[l])
 			}
-			m.setVec(fr, ci, &out)
+			m.setVec(fr, ci, out)
 		} else {
 			m.set(fr, ci.dst, ci.vec, fv(float64(x.i)))
 		}
@@ -135,7 +135,7 @@ func (m *machine) exec(fr *frame, ci *cinstr) {
 			for l := 0; l < ci.lanes; l++ {
 				out.vi[l] = int64(xl.vf[l])
 			}
-			m.setVec(fr, ci, &out)
+			m.setVec(fr, ci, out)
 		} else {
 			m.setInt(fr, ci, int64(x.f))
 		}
@@ -164,7 +164,7 @@ func (m *machine) exec(fr *frame, ci *cinstr) {
 			out.vi[l] = x.i
 			out.vf[l] = x.f
 		}
-		m.setVec(fr, ci, &out)
+		m.setVec(fr, ci, out)
 
 	case ir.OpVExtract:
 		x := m.eval(fr, &ops[0])
@@ -188,8 +188,7 @@ func (m *machine) exec(fr *frame, ci *cinstr) {
 		out := *x.lanes()
 		out.vi[lane] = s.i
 		out.vf[lane] = s.f
-		x.v = &out
-		m.set(fr, ci.dst, ci.vec, x)
+		m.setVec(fr, ci, out)
 
 	case ir.OpVReduce:
 		xl := m.eval(fr, &ops[0]).lanes()
@@ -221,8 +220,18 @@ func (m *machine) setInt(fr *frame, ci *cinstr, x int64) {
 }
 
 // setVec defines ci's result as a vector with lanes out (i and f 0).
-func (m *machine) setVec(fr *frame, ci *cinstr, out *lanes) {
-	m.set(fr, ci.dst, ci.vec, value{v: out})
+// The lanes are passed by value and land in the slot's lane buffer, so
+// a vector op allocates nothing; only a vector result in a slot without
+// a lane buffer (vec < 0) goes to the heap.
+func (m *machine) setVec(fr *frame, ci *cinstr, out lanes) {
+	if ci.vec >= 0 {
+		l := &fr.lanes[ci.vec]
+		*l = out
+		fr.slots[ci.dst] = slot{value{v: l}, fr.gen}
+		return
+	}
+	heap := out
+	fr.slots[ci.dst] = slot{value{v: &heap}, fr.gen}
 }
 
 func (m *machine) intOp(op ir.Opcode, a, b int64) int64 {

@@ -779,3 +779,67 @@ func TestPhiSwapReadsInParallel(t *testing.T) {
 		t.Errorf("stdout = %q, want %q", res.Stdout, "2 1 40 4")
 	}
 }
+
+// vectorLoop builds a loop of trips iterations whose body runs every
+// vector-producing op the interpreter has (load, integer and float
+// arithmetic, both conversions, splat and insert), reducing into a
+// printed checksum.
+func vectorLoop(trips int64) *ir.Module {
+	m := ir.NewModule("vloop")
+	_, b := ir.NewFunc(m, "main", ir.I64)
+	buf := b.Alloca(32, "buf")
+	entry := b.Block()
+	header := b.NewBlock("header")
+	body := b.NewBlock("body")
+	exit := b.NewBlock("exit")
+	one := b.VSplat(ir.V4F64, ir.ConstFloat(1), "one")
+	b.Br(header)
+	b.SetBlock(header)
+	i := b.Phi(ir.I64, "i")
+	acc := b.Phi(ir.V4F64, "acc")
+	b.CondBr(b.ICmp(ir.PredLT, i, ir.ConstInt(trips), "cmp"), body, exit)
+	b.SetBlock(body)
+	b.Store(acc, buf, "")
+	v := b.Load(ir.V4F64, buf, "")
+	w := b.Bin(ir.OpFAdd, v, one, "w")
+	wi := b.FPToSI(w, "wi")
+	wi.Ty = ir.V4I64
+	si := b.Bin(ir.OpAdd, wi, b.VSplat(ir.V4I64, i, "iv"), "si")
+	back := b.SIToFP(si, "back")
+	back.Ty = ir.V4F64
+	ins := &ir.Instr{Op: ir.OpVInsert, Ty: ir.V4F64, Operands: []ir.Value{back, ir.ConstFloat(0.5), ir.ConstInt(1)}}
+	insertRaw(b, ins)
+	next := b.Bin(ir.OpFSub, ins, back, "next")
+	acc2 := b.Bin(ir.OpFAdd, acc, next, "acc2")
+	i2 := b.Bin(ir.OpAdd, i, ir.ConstInt(1), "i2")
+	b.Br(header)
+	b.SetBlock(exit)
+	b.Call(ir.Void, "__print_f64", b.VReduce(acc, "r"))
+	b.Ret(ir.ConstInt(0))
+	ir.AddIncoming(i, ir.ConstInt(0), entry)
+	ir.AddIncoming(i, i2, body)
+	ir.AddIncoming(acc, one, entry)
+	ir.AddIncoming(acc, acc2, body)
+	return m
+}
+
+// TestVectorLoopAllocsFlat pins that vector ops allocate nothing per
+// executed instruction: a vector loop's heap allocations do not grow
+// with its trip count.
+func TestVectorLoopAllocsFlat(t *testing.T) {
+	allocs := func(trips int64) float64 {
+		p := &Program{Host: vectorLoop(trips)}
+		if err := ir.Verify(p.Host); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Run(p, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(10), allocs(2000)
+	if long > short+2 {
+		t.Errorf("allocations grow with the trip count: %v at 10 trips, %v at 2000", short, long)
+	}
+}

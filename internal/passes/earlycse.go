@@ -26,7 +26,7 @@ func (p *EarlyCSE) Run(fn *ir.Func, ctx *Context) analysis.PreservedAnalyses {
 	changed := false
 	q := ctx.Query(fn)
 	for _, b := range fn.Blocks {
-		exprs := map[string]*ir.Instr{}
+		exprs := map[exprKey]*ir.Instr{}
 		var avail []availEntry
 		for _, in := range b.Instrs {
 			if in.Dead() {
@@ -34,7 +34,10 @@ func (p *EarlyCSE) Run(fn *ir.Func, ctx *Context) analysis.PreservedAnalyses {
 			}
 			switch {
 			case isPureOp(in):
-				key := exprKey(in)
+				key, ok := keyOf(in)
+				if !ok {
+					continue
+				}
 				if prev, ok := exprs[key]; ok {
 					fn.ReplaceAllUses(in, prev)
 					in.MarkDead()

@@ -1,8 +1,6 @@
 package passes
 
 import (
-	"fmt"
-
 	"github.com/oraql/go-oraql/internal/aa"
 	"github.com/oraql/go-oraql/internal/analysis"
 	"github.com/oraql/go-oraql/internal/ir"
@@ -28,13 +26,16 @@ func (p *GVN) Run(fn *ir.Func, ctx *Context) analysis.PreservedAnalyses {
 	q := ctx.Query(fn)
 
 	// Pure-expression numbering over RPO with dominance.
-	leaders := map[string]*ir.Instr{}
+	leaders := map[exprKey]*ir.Instr{}
 	for _, b := range info.RPO {
 		for _, in := range b.Instrs {
 			if in.Dead() || !isPureOp(in) {
 				continue
 			}
-			key := exprKey(in)
+			key, ok := keyOf(in)
+			if !ok {
+				continue
+			}
 			if lead, ok := leaders[key]; ok && info.DominatesInstr(lead, in) {
 				fn.ReplaceAllUses(in, lead)
 				in.MarkDead()
@@ -47,7 +48,12 @@ func (p *GVN) Run(fn *ir.Func, ctx *Context) analysis.PreservedAnalyses {
 	}
 
 	// Load elimination keyed by (pointer, type, clobbering definition).
-	loadLeaders := map[string]*ir.Instr{}
+	type loadKey struct {
+		ptr int64
+		ty  *ir.Type
+		def int
+	}
+	loadLeaders := map[loadKey]*ir.Instr{}
 	for _, b := range info.RPO {
 		for _, in := range b.Instrs {
 			if in.Dead() || in.Op != ir.OpLoad {
@@ -77,7 +83,7 @@ func (p *GVN) Run(fn *ir.Func, ctx *Context) analysis.PreservedAnalyses {
 			if def != nil {
 				defID = def.ID
 			}
-			key := fmt.Sprintf("%d|%s|%d", in.Operands[0].VID(), in.Ty, defID)
+			key := loadKey{in.Operands[0].VID(), in.Ty, defID}
 			if lead, ok := loadLeaders[key]; ok && !lead.Dead() && info.DominatesInstr(lead, in) {
 				fn.ReplaceAllUses(in, lead)
 				in.MarkDead()

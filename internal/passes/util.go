@@ -1,8 +1,6 @@
 package passes
 
 import (
-	"fmt"
-
 	"github.com/oraql/go-oraql/internal/ir"
 )
 
@@ -67,15 +65,35 @@ func useCounts(fn *ir.Func) map[*ir.Instr]int {
 	return uses
 }
 
-// exprKey builds a structural hash key of a pure instruction for CSE
-// and value numbering: opcode, predicate, gep constants, callee, and
-// operand identities (by VID).
-func exprKey(in *ir.Instr) string {
-	key := fmt.Sprintf("%d|%d|%d|%d|%s", in.Op, in.Pred, in.Scale, in.Off, in.Callee)
-	for _, op := range in.Operands {
-		key += fmt.Sprintf("|%d", op.VID())
+// maxPureOperands is the most operands a pure instruction has: select
+// and vinsert take 3, every other pure op and pure intrinsic fewer.
+const maxPureOperands = 3
+
+// exprKey is the structural identity of a pure instruction for CSE and
+// value numbering: opcode, predicate, gep constants, callee, and
+// operand identities (by VID). Two instructions compute the same value
+// exactly when their keys are equal.
+type exprKey struct {
+	op         ir.Opcode
+	pred       ir.Pred
+	scale, off int64
+	callee     string
+	n          int
+	vids       [maxPureOperands]int64
+}
+
+// keyOf returns in's expression key. ok is false for an instruction
+// with more operands than a pure op takes (a malformed intrinsic call
+// from hand-written IR); such an instruction is not numbered.
+func keyOf(in *ir.Instr) (k exprKey, ok bool) {
+	if len(in.Operands) > maxPureOperands {
+		return k, false
 	}
-	return key
+	k = exprKey{op: in.Op, pred: in.Pred, scale: in.Scale, off: in.Off, callee: in.Callee, n: len(in.Operands)}
+	for i, op := range in.Operands {
+		k.vids[i] = op.VID()
+	}
+	return k, true
 }
 
 // constOf returns the constant value of v if it is an integer constant.

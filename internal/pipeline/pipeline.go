@@ -34,6 +34,14 @@ type Config struct {
 	// Module, when non-nil, bypasses the frontend and optimizes this
 	// pre-built host module (e.g. parsed from textual IR).
 	Module *ir.Module
+	// Lowered, when non-nil, is the frontend result shared by every
+	// compilation of Source that carries it (see Lowered): the source
+	// is lowered once, by the first compilation that misses the
+	// translation-unit cache, and each compilation optimizes its own
+	// clone. Output is byte-identical to lowering per compilation. It
+	// is transparent, so no cache key includes it. Ignored when Module
+	// is set. The probe driver sets a fresh one for every campaign.
+	Lowered *Lowered
 	// Frontend options (dialect, model, views).
 	Frontend minic.Options
 	// OptLevel: 0 (frontend output only), 1, or 3 (default 3).
@@ -305,14 +313,17 @@ func CompileContext(ctx context.Context, cfg Config) (*CompileResult, error) {
 		}
 	}
 	var host, device *ir.Module
-	if cfg.Module != nil {
+	var err error
+	switch {
+	case cfg.Module != nil:
 		host = cfg.Module
-	} else {
-		var err error
+	case cfg.Lowered != nil:
+		host, device, err = cfg.Lowered.modules(srcName, cfg)
+	default:
 		host, device, err = minic.Compile(srcName, cfg.Source, cfg.Frontend)
-		if err != nil {
-			return nil, fmt.Errorf("%s: frontend: %w", cfg.Name, err)
-		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: frontend: %w", cfg.Name, err)
 	}
 	res := &CompileResult{Program: &irinterp.Program{Host: host, Device: device}}
 
@@ -320,7 +331,6 @@ func CompileContext(ctx context.Context, cfg Config) (*CompileResult, error) {
 	// shared by the per-target compilations, in a fixed order (host
 	// first, then device), each with its own pass instance but the
 	// same sequence.
-	var err error
 	res.Host, err = compileModule(ctx, cfg, host)
 	if err != nil {
 		return nil, err
