@@ -22,14 +22,16 @@
 set -eu
 count="${1:-3}"
 out="BENCH_probe.json"
+raw="$(mktemp)"
+trap 'rm -f "$raw"' EXIT
 
-go test -run '^$' -bench 'Probe_(Sequential|Parallel)' -benchtime=1x \
-	-count="$count" . | tee /tmp/bench_probe.txt
+go test -run '^$' -bench 'Probe_(Sequential|Parallel)' -benchtime=1x -benchmem \
+	-count="$count" . | tee "$raw"
 # The matrix averages wall clock over $count iterations per cell —
 # single-shot timings on small configurations are too noisy for the
 # strict win check below.
 go test -run '^$' -bench 'Probe_StrategyMatrix' -benchtime="${count}x" \
-	-count=1 . | tee -a /tmp/bench_probe.txt
+	-count=1 . | tee -a "$raw"
 
 awk -v ncpu="$(nproc 2>/dev/null || echo 1)" '
 /^BenchmarkProbe_(Sequential|Parallel)/ {
@@ -111,5 +113,5 @@ END {
 	printf "  }\n"
 	printf "}\n"
 	exit bad
-}' /tmp/bench_probe.txt > "$out"
+}' "$raw" > "$out"
 echo "wrote $out"
