@@ -52,7 +52,6 @@ func reportFig4Metrics(b *testing.B, e *report.Experiment) {
 	if orig > 0 {
 		b.ReportMetric(100*float64(fin-orig)/float64(orig), "noalias-growth-%")
 	}
-	b.ReportMetric(100*e.Probe.Final.Compile.AAStats().CacheHitRate(), "aa-cache-hit-%")
 }
 
 // BenchmarkFig4_QueryStats regenerates the Fig. 4 table: one sub-bench
@@ -237,7 +236,7 @@ func BenchmarkProbing_Strategies(b *testing.B) {
 func probeWorkers(b *testing.B, workers int) {
 	ids := []string{"lulesh-seq", "testsnap-openmp", "minigmg-sse", "quicksilver-openmp"}
 	for i := 0; i < b.N; i++ {
-		var compiles, spec, wasted, hits, misses int64
+		var compiles, spec, wasted int64
 		for _, id := range ids {
 			cfg := apps.ByID(id)
 			s := cfg.Spec()
@@ -249,16 +248,10 @@ func probeWorkers(b *testing.B, workers int) {
 			compiles += int64(res.Compiles)
 			spec += int64(res.TestsSpeculated)
 			wasted += int64(res.TestsWasted)
-			aas := res.Final.Compile.AAStats()
-			hits += aas.CacheHits
-			misses += aas.CacheMisses
 		}
 		b.ReportMetric(float64(compiles), "compiles")
 		b.ReportMetric(float64(spec), "tests-speculated")
 		b.ReportMetric(float64(wasted), "tests-wasted")
-		if hits+misses > 0 {
-			b.ReportMetric(100*float64(hits)/float64(hits+misses), "aa-cache-hit-%")
-		}
 	}
 }
 

@@ -160,11 +160,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stdout, "%8d oraql - Number of unique pessimistic responses\n", s.UniquePessimistic)
 			fmt.Fprintf(stdout, "%8d oraql - Number of cached pessimistic responses\n", s.CachedPessimistic)
 		}
-		aas := cr.AAStats()
-		fmt.Fprintf(stdout, "%8d aa - Number of memoized query cache hits\n", aas.CacheHits)
-		fmt.Fprintf(stdout, "%8d aa - Number of memoized query cache misses\n", aas.CacheMisses)
-		fmt.Fprintf(stdout, "%8d aa - Number of query cache invalidations\n", aas.CacheFlushes)
-		fmt.Fprintf(stdout, "%8d aa - Number of scoped (per-function) cache flushes\n", aas.CacheScopedFlushes)
 	}
 	if *timePasses {
 		cr.Timing().Print(stdout, cr.AnalysisStats())

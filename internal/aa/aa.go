@@ -114,42 +114,52 @@ func LocBefore(ptr ir.Value, in *ir.Instr) MemLoc {
 // AccessLocs returns the memory locations an instruction may access:
 // (read, write); either may be a nil slice.
 func AccessLocs(in *ir.Instr) (reads, writes []MemLoc) {
+	return appendAccessLocs(nil, in, false), appendAccessLocs(nil, in, true)
+}
+
+// appendAccessLocs appends the locations in writes (write) or reads
+// (!write) to dst, so callers can collect them into a stack buffer.
+func appendAccessLocs(dst []MemLoc, in *ir.Instr, write bool) []MemLoc {
 	switch in.Op {
 	case ir.OpLoad:
-		return []MemLoc{LocOfLoad(in)}, nil
+		if !write {
+			dst = append(dst, LocOfLoad(in))
+		}
 	case ir.OpStore:
-		return nil, []MemLoc{LocOfStore(in)}
+		if write {
+			dst = append(dst, LocOfStore(in))
+		}
 	case ir.OpMemCpy:
-		sz := UnknownSize
-		if c, ok := in.Operands[2].(*ir.Const); ok {
-			sz = PreciseSize(c.I)
+		ptr := in.Operands[1]
+		if write {
+			ptr = in.Operands[0]
 		}
-		return []MemLoc{{Ptr: in.Operands[1], Size: sz, Instr: in}},
-			[]MemLoc{{Ptr: in.Operands[0], Size: sz, Instr: in}}
+		dst = append(dst, MemLoc{Ptr: ptr, Size: constSize(in.Operands[2]), Instr: in})
 	case ir.OpMemSet:
-		sz := UnknownSize
-		if c, ok := in.Operands[2].(*ir.Const); ok {
-			sz = PreciseSize(c.I)
+		if write {
+			dst = append(dst, MemLoc{Ptr: in.Operands[0], Size: constSize(in.Operands[2]), Instr: in})
 		}
-		return nil, []MemLoc{{Ptr: in.Operands[0], Size: sz, Instr: in}}
 	case ir.OpCall:
 		eff := ir.CalleeEffects(in.Callee)
-		if !eff.Reads && !eff.Writes {
-			return nil, nil
+		if write && !eff.Writes || !write && !eff.Reads {
+			return dst
 		}
 		for _, op := range in.Operands {
 			if op.Type() == ir.Ptr {
-				if eff.Reads {
-					reads = append(reads, LocBefore(op, in))
-				}
-				if eff.Writes {
-					writes = append(writes, LocBefore(op, in))
-				}
+				dst = append(dst, LocBefore(op, in))
 			}
 		}
-		return reads, writes
 	}
-	return nil, nil
+	return dst
+}
+
+// constSize is the precise size of a constant length operand, unknown
+// otherwise.
+func constSize(n ir.Value) LocationSize {
+	if c, ok := n.(*ir.Const); ok {
+		return PreciseSize(c.I)
+	}
+	return UnknownSize
 }
 
 // QueryCtx carries compilation context alongside a query: which pass is

@@ -2,9 +2,7 @@ package aa
 
 import (
 	"sort"
-	"strings"
 	"sync"
-	"sync/atomic"
 
 	"github.com/oraql/go-oraql/internal/ir"
 )
@@ -24,17 +22,11 @@ type Stats struct {
 	PartialAlias int64 `json:"partial_alias"`
 	MayAlias     int64 `json:"may_alias"`
 
-	// CacheHits / CacheMisses count lookups in the manager's memoized
-	// query cache (the AAQueryInfo analogue). Blocked queries bypass the
-	// cache and count in neither.
+	// CacheHits / CacheMisses are always 0: the manager no longer
+	// memoizes queries (see DESIGN.md). They are kept for readers of
+	// the serialized statistics that still report a hit ratio.
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
-	// CacheFlushes counts module-wide invalidations that actually
-	// dropped entries; CacheScopedFlushes counts the per-function
-	// invalidations the analysis manager issues for the one function a
-	// pass changed, which leave every other function's entries intact.
-	CacheFlushes       int64 `json:"cache_flushes"`
-	CacheScopedFlushes int64 `json:"cache_scoped_flushes"`
 
 	// NoAliasByAnalysis counts definitive no-alias answers per analysis
 	// in the chain (including "oraql" when present).
@@ -69,29 +61,12 @@ func (s *Stats) Merge(other *Stats) {
 	s.MayAlias += other.MayAlias
 	s.CacheHits += other.CacheHits
 	s.CacheMisses += other.CacheMisses
-	s.CacheFlushes += other.CacheFlushes
-	s.CacheScopedFlushes += other.CacheScopedFlushes
 	for k, v := range other.NoAliasByAnalysis {
 		s.NoAliasByAnalysis[k] += v
 	}
 	for k, v := range other.QueriesByPass {
 		s.QueriesByPass[k] += v
 	}
-}
-
-// CacheLookups is the total memoized-query-cache traffic (hits plus
-// misses); the serving layer exports it beside the hit counter so a
-// rate can be derived from two monotonic series.
-func (s *Stats) CacheLookups() int64 { return s.CacheHits + s.CacheMisses }
-
-// CacheHitRate returns the fraction of cache lookups served from the
-// memoized query cache, in [0, 1].
-func (s *Stats) CacheHitRate() float64 {
-	total := s.CacheHits + s.CacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(total)
 }
 
 // Analyses returns the analysis names with no-alias counts, sorted.
@@ -114,116 +89,33 @@ type Blocker interface {
 	Block(a, b MemLoc, q *QueryCtx) bool
 }
 
-// Uncacheable is implemented by analyses whose answers must not be
-// memoized by the manager's query cache. The ORAQL responder is the
-// canonical case: its replies consume the response sequence and are
-// counted by its own pair cache, so the manager must forward every
-// repeated query to it. Analyses that do not implement the interface
-// (or return false) are treated as pure functions of the IR and are
-// safe to memoize.
-type Uncacheable interface {
-	UncacheableAlias() bool
-}
-
-// sideKey is the comparable identity of one MemLoc for cache keying:
-// the pointer's stable VID plus the location description and access
-// metadata that the analyses consume.
-type sideKey struct {
-	vid          int64
-	size         LocationSize
-	tbaa         string
-	scopes       string
-	noAliasScope string
-}
-
-func sideKeyOf(l MemLoc) sideKey {
-	return sideKey{
-		vid:          l.Ptr.VID(),
-		size:         l.Size,
-		tbaa:         l.TBAA,
-		scopes:       strings.Join(l.Scopes, "\x1f"),
-		noAliasScope: strings.Join(l.NoAliasScope, "\x1f"),
-	}
-}
-
-// less orders side keys canonically so that symmetric queries share one
-// cache entry.
-func (k sideKey) less(o sideKey) bool {
-	if k.vid != o.vid {
-		return k.vid < o.vid
-	}
-	if k.size != o.size {
-		if k.size.Known != o.size.Known {
-			return !k.size.Known
-		}
-		return k.size.Bytes < o.size.Bytes
-	}
-	if k.tbaa != o.tbaa {
-		return k.tbaa < o.tbaa
-	}
-	if k.scopes != o.scopes {
-		return k.scopes < o.scopes
-	}
-	return k.noAliasScope < o.noAliasScope
-}
-
-// queryKey is the symmetric-normalized (MemLoc, MemLoc) cache key:
-// alias relations are symmetric, so Alias(a, b) and Alias(b, a) hit the
-// same entry.
-type queryKey struct{ a, b sideKey }
-
-func queryKeyOf(a, b MemLoc) queryKey {
-	ka, kb := sideKeyOf(a), sideKeyOf(b)
-	if kb.less(ka) {
-		ka, kb = kb, ka
-	}
-	return queryKey{ka, kb}
-}
-
-// cacheEntry is a memoized chain verdict: the first definitive answer
-// produced by the cacheable chain prefix and the analysis that gave it,
-// or MayAlias with an empty name when the whole prefix was exhausted.
-type cacheEntry struct {
-	result   Result
-	analysis string
+// OrderSensitive is implemented by analyses whose answers depend on
+// the order queries arrive in. The ORAQL responder is the canonical
+// case: each unique query consumes the next element of its response
+// sequence. Analyses that do not implement the interface (or return
+// false) are pure functions of the IR.
+type OrderSensitive interface {
+	OrderSensitiveAlias() bool
 }
 
 // Manager is the alias-analysis chain. Queries walk the chain in order
 // and stop at the first definitive answer; if every analysis says
 // may-alias, the manager returns may-alias — exactly the LLVM
-// AAResults aggregation the paper describes in Section III.
-//
-// The manager memoizes chain verdicts in an AAQueryInfo-style query
-// cache keyed on the symmetric-normalized location pair: passes like
-// GVN, DSE and LICM issue the same query hundreds of times per
-// function, and a hit skips the whole cacheable chain prefix. Analyses
-// implementing Uncacheable (the ORAQL responder) are consulted on
-// every query regardless, so their counters and sequence consumption
-// are unaffected by memoization. The pass manager calls Invalidate
-// between pass executions once a pass mutates the module; within one
-// pass execution the cache keeps LLVM's batch semantics (stale entries
-// can only be conservative, since transformations never make disjoint
-// live pointers overlap).
+// AAResults aggregation the paper describes in Section III. Every
+// query walks the chain against the current IR; nothing is memoized
+// between queries.
 //
 // Manager is safe for concurrent queries; note however that the ORAQL
 // pass appended during probing keeps its own unsynchronized state, so
 // probing compilations use one manager per compilation.
 //
-// Cache entries are bucketed by the querying function (QueryCtx.Func),
-// because alias queries are intra-function: both locations name values
-// of that function, or globals whose chain-level facts were computed
-// once at manager construction. A pass mutating function f therefore
-// cannot stale another function's verdicts, and InvalidateFunc(f)
-// drops only f's bucket. Queries without a function context land in a
-// shared nil bucket that every scoped flush also drops.
-//
-// State is sharded by that same bucketing: each function owns a shard
-// holding its cache bucket and its statistics, guarded by its own
-// mutex. Concurrent queries from different functions — the parallel
-// pass manager runs one worker per function — touch disjoint shards
-// and never contend; Stats() merges the shard snapshots. All counters
-// of one query are booked in a single critical section, so a snapshot
-// can never observe a query whose outcome is missing (no torn reads).
+// Statistics are sharded by the querying function (QueryCtx.Func):
+// the parallel pass manager runs one worker per function, so
+// concurrent queries from different functions book into disjoint
+// shards and never contend; Stats() merges the shard snapshots. All
+// counters of one query are booked in a single critical section, so a
+// snapshot can never observe a query whose outcome is missing (no
+// torn reads).
 type Manager struct {
 	Module *ir.Module
 	chain  []Analysis
@@ -231,30 +123,24 @@ type Manager struct {
 	// Blocker, when non-nil, is consulted before the chain.
 	Blocker Blocker
 
-	memoOff atomic.Bool
-
 	// shardMu guards the shards map itself; the shards it holds are
 	// never removed, so a looked-up shard stays valid without it.
 	shardMu sync.RWMutex
 	shards  map[*ir.Func]*shard
 }
 
-// shard is the per-function slice of the manager's mutable state: the
-// memoized cache bucket and the statistics of queries issued from that
-// function. fn == nil (queries without a function context) has a shard
-// of its own.
+// shard holds the statistics of the queries issued from one function.
+// fn == nil (queries without a function context) has a shard of its
+// own.
 type shard struct {
 	mu    sync.Mutex
 	stats *Stats
-	cache map[queryKey]cacheEntry
 }
 
-func newShard() *shard {
-	return &shard{stats: NewStats(), cache: map[queryKey]cacheEntry{}}
-}
+func newShard() *shard { return &shard{stats: NewStats()} }
 
 // NewManager returns a manager over m with the given chain, queried in
-// order. Shards for m's functions (and the nil bucket) are created
+// order. Shards for m's functions (and the nil function) are created
 // eagerly so the common query path is a read-lock map hit.
 func NewManager(m *ir.Module, chain ...Analysis) *Manager {
 	mgr := &Manager{
@@ -288,17 +174,6 @@ func (mgr *Manager) shardFor(fn *ir.Func) *shard {
 	return s
 }
 
-// allShards snapshots the shard list.
-func (mgr *Manager) allShards() []*shard {
-	mgr.shardMu.RLock()
-	defer mgr.shardMu.RUnlock()
-	out := make([]*shard, 0, len(mgr.shards))
-	for _, s := range mgr.shards {
-		out = append(out, s)
-	}
-	return out
-}
-
 // DefaultChain builds the analyses enabled in the default -O3 pipeline,
 // mirroring LLVM's defaults: Basic, ScopedNoAlias, TypeBased, ArgAttr,
 // Globals. The CFL analyses exist but are off by default because of
@@ -329,11 +204,16 @@ func (mgr *Manager) Chain() []Analysis { return mgr.chain }
 // over all shards. Each shard is snapshotted under its own lock, and
 // every shard books all counters of a query atomically, so the merged
 // snapshot always satisfies the per-query invariants (every counted
-// query has a counted outcome, every cacheable query a counted
-// hit-or-miss) even while queries are in flight.
+// query has a counted outcome) even while queries are in flight.
 func (mgr *Manager) Stats() *Stats {
+	mgr.shardMu.RLock()
+	shards := make([]*shard, 0, len(mgr.shards))
+	for _, s := range mgr.shards {
+		shards = append(shards, s)
+	}
+	mgr.shardMu.RUnlock()
 	out := NewStats()
-	for _, s := range mgr.allShards() {
+	for _, s := range shards {
 		s.mu.Lock()
 		out.Merge(s.stats)
 		s.mu.Unlock()
@@ -341,82 +221,9 @@ func (mgr *Manager) Stats() *Stats {
 	return out
 }
 
-// SetQueryCache enables or disables the memoized query cache (enabled
-// by default); disabling flushes it. Used by the cache-ablation
-// benchmarks.
-func (mgr *Manager) SetQueryCache(enabled bool) {
-	mgr.memoOff.Store(!enabled)
-	if !enabled {
-		for _, s := range mgr.allShards() {
-			s.mu.Lock()
-			s.cache = map[queryKey]cacheEntry{}
-			s.mu.Unlock()
-		}
-	}
-}
-
-// Invalidate flushes the entire memoized query cache across all
-// functions — the module-wide AAQueryInfo drop. The pass pipeline now
-// prefers the scoped InvalidateFunc; the full flush remains for
-// callers without a function context.
-func (mgr *Manager) Invalidate() {
-	dropped := 0
-	shards := mgr.allShards()
-	for _, s := range shards {
-		s.mu.Lock()
-		if len(s.cache) > 0 {
-			dropped += len(s.cache)
-			s.cache = map[queryKey]cacheEntry{}
-		}
-		s.mu.Unlock()
-	}
-	if dropped > 0 {
-		nilShard := mgr.shardFor(nil)
-		nilShard.mu.Lock()
-		nilShard.stats.CacheFlushes++
-		nilShard.mu.Unlock()
-	}
-}
-
-// InvalidateFunc drops the memoized verdicts of one function — the
-// analysis manager calls this for exactly the function a pass changed,
-// leaving every other function's entries hot. The shared nil bucket
-// (queries without a function context) is dropped too, since those
-// cannot be attributed. The flush counter reflects only the function's
-// own bucket, which keeps it deterministic when scoped flushes of
-// different functions run concurrently.
-func (mgr *Manager) InvalidateFunc(fn *ir.Func) {
-	s := mgr.shardFor(fn)
-	s.mu.Lock()
-	if len(s.cache) > 0 {
-		s.cache = map[queryKey]cacheEntry{}
-		s.stats.CacheScopedFlushes++
-	}
-	s.mu.Unlock()
-	if fn != nil {
-		nilShard := mgr.shardFor(nil)
-		nilShard.mu.Lock()
-		if len(nilShard.cache) > 0 {
-			nilShard.cache = map[queryKey]cacheEntry{}
-		}
-		nilShard.mu.Unlock()
-	}
-}
-
-// cachePrefixLen returns the length of the chain prefix whose answers
-// may be memoized: everything before the first Uncacheable analysis.
-func (mgr *Manager) cachePrefixLen() int {
-	for i, an := range mgr.chain {
-		if u, ok := an.(Uncacheable); ok && u.UncacheableAlias() {
-			return i
-		}
-	}
-	return len(mgr.chain)
-}
-
 // OrderDependent reports whether query answers can depend on the
 // cross-function order in which queries are issued: true when a
-// Blocker is installed or an Uncacheable analysis (the ORAQL
+// Blocker is installed or an OrderSensitive analysis (the ORAQL
 // responder, whose replies consume a response sequence in query order)
 // sits in the chain. The pass manager falls back to sequential
 // function scheduling for order-dependent managers, since reordering
@@ -425,38 +232,23 @@ func (mgr *Manager) OrderDependent() bool {
 	if mgr.Blocker != nil {
 		return true
 	}
-	return mgr.cachePrefixLen() < len(mgr.chain)
+	for _, an := range mgr.chain {
+		if o, ok := an.(OrderSensitive); ok && o.OrderSensitiveAlias() {
+			return true
+		}
+	}
+	return false
 }
-
-// cacheTraffic tags how a query interacted with the memoized cache.
-type cacheTraffic int
-
-const (
-	trafficNone cacheTraffic = iota // blocked or memoization off
-	trafficHit
-	trafficMiss
-)
 
 // book records every counter of one query in a single critical section
-// of the function's shard: attribution, cache traffic, and outcome.
-// Booking atomically is what makes Stats() snapshots tear-free.
-func (s *shard) book(q *QueryCtx, r Result, analysis string, traffic cacheTraffic) {
+// of the function's shard: attribution and outcome. Booking atomically
+// is what makes Stats() snapshots tear-free.
+func (s *shard) book(q *QueryCtx, r Result, analysis string) {
 	s.mu.Lock()
-	s.bookLocked(q, r, analysis, traffic)
-	s.mu.Unlock()
-}
-
-func (s *shard) bookLocked(q *QueryCtx, r Result, analysis string, traffic cacheTraffic) {
 	st := s.stats
 	st.Queries++
 	if q != nil && q.Pass != "" {
 		st.QueriesByPass[q.Pass]++
-	}
-	switch traffic {
-	case trafficHit:
-		st.CacheHits++
-	case trafficMiss:
-		st.CacheMisses++
 	}
 	switch r {
 	case NoAlias:
@@ -469,21 +261,11 @@ func (s *shard) bookLocked(q *QueryCtx, r Result, analysis string, traffic cache
 	default:
 		st.MayAlias++
 	}
+	s.mu.Unlock()
 }
 
-// walk consults chain[from:to] in order and returns the first
-// definitive answer with the producing analysis, or (MayAlias, "").
-func (mgr *Manager) walk(from, to int, a, b MemLoc, q *QueryCtx) (Result, string) {
-	for _, an := range mgr.chain[from:to] {
-		if r := an.Alias(a, b, q); r.Definitive() {
-			return r, an.Name()
-		}
-	}
-	return MayAlias, ""
-}
-
-// Alias answers an alias query by walking the chain, serving the
-// cacheable prefix from the memoized query cache when possible. All
+// Alias answers an alias query by walking the chain and returning the
+// first definitive answer, or may-alias when there is none. All
 // statistics of the query are booked in one critical section of the
 // issuing function's shard, after the answer is known.
 func (mgr *Manager) Alias(a, b MemLoc, q *QueryCtx) Result {
@@ -492,46 +274,18 @@ func (mgr *Manager) Alias(a, b MemLoc, q *QueryCtx) Result {
 		fn = q.Func
 	}
 	s := mgr.shardFor(fn)
-
 	if mgr.Blocker != nil && mgr.Blocker.Block(a, b, q) {
-		s.book(q, MayAlias, "", trafficNone)
+		s.book(q, MayAlias, "")
 		return MayAlias
 	}
-	prefix := mgr.cachePrefixLen()
-	if mgr.memoOff.Load() || prefix == 0 {
-		r, name := mgr.walk(0, len(mgr.chain), a, b, q)
-		s.book(q, r, name, trafficNone)
-		return r
-	}
-
-	key := queryKeyOf(a, b)
-	s.mu.Lock()
-	ent, hit := s.cache[key]
-	s.mu.Unlock()
-
-	if hit {
-		r, name := ent.result, ent.analysis
-		if !r.Definitive() {
-			// The cacheable prefix is known to be inconclusive: consult
-			// only the uncacheable tail (e.g. the ORAQL responder).
-			r, name = mgr.walk(prefix, len(mgr.chain), a, b, q)
+	for _, an := range mgr.chain {
+		if r := an.Alias(a, b, q); r.Definitive() {
+			s.book(q, r, an.Name())
+			return r
 		}
-		s.book(q, r, name, trafficHit)
-		return r
 	}
-
-	pr, pname := mgr.walk(0, prefix, a, b, q)
-	r, name := pr, pname
-	if !r.Definitive() {
-		r, name = mgr.walk(prefix, len(mgr.chain), a, b, q)
-	}
-	s.mu.Lock()
-	if !mgr.memoOff.Load() {
-		s.cache[key] = cacheEntry{result: pr, analysis: pname}
-	}
-	s.bookLocked(q, r, name, trafficMiss)
-	s.mu.Unlock()
-	return r
+	s.book(q, MayAlias, "")
+	return MayAlias
 }
 
 // NoAliasLocs reports whether two locations are proven disjoint.
@@ -545,27 +299,8 @@ func (mgr *Manager) InstrMayClobberLoc(in *ir.Instr, loc MemLoc, q *QueryCtx) bo
 	if !in.WritesMemory() {
 		return false
 	}
-	_, writes := AccessLocs(in)
-	if len(writes) == 0 {
-		// Writes memory but through no identifiable pointer (e.g. an
-		// unknown call): conservatively clobbers.
-		return true
-	}
-	if in.Op == ir.OpCall && !ir.CalleeEffects(in.Callee).ArgMemOnly {
-		// A user call may write through any captured pointer, not only
-		// its arguments; still issue the per-argument queries so the
-		// query stream matches LLVM's, then stay conservative.
-		for _, w := range writes {
-			mgr.Alias(loc, w, q)
-		}
-		return true
-	}
-	for _, w := range writes {
-		if mgr.Alias(loc, w, q) != NoAlias {
-			return true
-		}
-	}
-	return false
+	var buf [8]MemLoc
+	return mgr.mayAccess(in, appendAccessLocs(buf[:0], in, true), loc, q)
 }
 
 // InstrMayReadLoc reports whether in may read from loc.
@@ -573,18 +308,30 @@ func (mgr *Manager) InstrMayReadLoc(in *ir.Instr, loc MemLoc, q *QueryCtx) bool 
 	if !in.ReadsMemory() {
 		return false
 	}
-	reads, _ := AccessLocs(in)
-	if len(reads) == 0 {
+	var buf [8]MemLoc
+	return mgr.mayAccess(in, appendAccessLocs(buf[:0], in, false), loc, q)
+}
+
+// mayAccess reports whether in, accessing locs, may touch loc. The
+// callers collect locs into a stack buffer, so a check allocates
+// nothing.
+func (mgr *Manager) mayAccess(in *ir.Instr, locs []MemLoc, loc MemLoc, q *QueryCtx) bool {
+	if len(locs) == 0 {
+		// Accesses memory but through no identifiable pointer (e.g. an
+		// unknown call): conservatively clobbers.
 		return true
 	}
 	if in.Op == ir.OpCall && !ir.CalleeEffects(in.Callee).ArgMemOnly {
-		for _, r := range reads {
-			mgr.Alias(loc, r, q)
+		// A user call may access any captured pointer, not only its
+		// arguments; still issue the per-argument queries so the query
+		// stream matches LLVM's, then stay conservative.
+		for _, l := range locs {
+			mgr.Alias(loc, l, q)
 		}
 		return true
 	}
-	for _, r := range reads {
-		if mgr.Alias(loc, r, q) != NoAlias {
+	for _, l := range locs {
+		if mgr.Alias(loc, l, q) != NoAlias {
 			return true
 		}
 	}

@@ -1,6 +1,10 @@
 package aa
 
-import "github.com/oraql/go-oraql/internal/ir"
+import (
+	"sync"
+
+	"github.com/oraql/go-oraql/internal/ir"
+)
 
 // UnderlyingObject strips GEPs (and, through select, both sides when
 // they agree) to find the base object a pointer is derived from.
@@ -73,14 +77,60 @@ var nonCapturingIntrinsics = map[string]bool{
 	"__mpi_allreduce_f64": true,
 }
 
+// idSet is a bitset over a function's instruction IDs.
+type idSet []uint64
+
+func (s idSet) has(in *ir.Instr) bool {
+	w := uint(in.ID) >> 6
+	return w < uint(len(s)) && s[w]&(1<<(in.ID&63)) != 0
+}
+
+func (s idSet) add(in *ir.Instr) { s[in.ID>>6] |= 1 << (in.ID & 63) }
+
+// derivedOf reports whether v is an instruction in the set.
+func (s idSet) derivedOf(v ir.Value) bool {
+	in, ok := v.(*ir.Instr)
+	return ok && s.has(in)
+}
+
+// idSets recycles the bitsets of IsNonCaptured, so a query allocates
+// nothing once the pool is warm.
+var idSets = sync.Pool{New: func() any { return new(idSet) }}
+
 // IsNonCaptured reports whether the address of the local object obj
 // never escapes its function: it is not stored as a value, not passed
 // to a capturing call, and every derived pointer (via GEP/select) obeys
 // the same. A non-captured local cannot be reached through arguments,
-// globals, or loaded pointers.
+// globals, or loaded pointers. Every call scans the function's current
+// IR; derived pointers are marked in a pooled bitset indexed by
+// instruction ID.
 func IsNonCaptured(obj *ir.Instr) bool {
 	fn := obj.Parent.Parent
-	derived := map[ir.Value]bool{obj: true}
+	// Size the bitset for every ID in the function; IDs are unique and
+	// non-negative within a function (ir.Func.AllocID). Malformed
+	// numbering stays conservative.
+	if obj.ID < 0 {
+		return false
+	}
+	bound := obj.ID
+	for _, b := range fn.Blocks {
+		for _, in := range b.Instrs {
+			if in.ID < 0 {
+				return false
+			}
+			bound = max(bound, in.ID)
+		}
+	}
+	sp := idSets.Get().(*idSet)
+	defer idSets.Put(sp)
+	if n := bound>>6 + 1; cap(*sp) < n {
+		*sp = make(idSet, n)
+	} else {
+		*sp = (*sp)[:n]
+		clear(*sp)
+	}
+	derived := *sp
+	derived.add(obj)
 	// Fixed point over derived pointers; functions are small.
 	for changed := true; changed; {
 		changed = false
@@ -89,10 +139,10 @@ func IsNonCaptured(obj *ir.Instr) bool {
 				if in.Dead() {
 					continue
 				}
-				if (in.Op == ir.OpGEP || in.Op == ir.OpSelect) && !derived[in] {
+				if (in.Op == ir.OpGEP || in.Op == ir.OpSelect) && !derived.has(in) {
 					for _, op := range in.Operands {
-						if derived[op] {
-							derived[in] = true
+						if derived.derivedOf(op) {
+							derived.add(in)
 							changed = true
 							break
 						}
@@ -108,7 +158,7 @@ func IsNonCaptured(obj *ir.Instr) bool {
 			}
 			switch in.Op {
 			case ir.OpStore:
-				if derived[in.Operands[0]] {
+				if derived.derivedOf(in.Operands[0]) {
 					return false // address stored to memory
 				}
 			case ir.OpCall:
@@ -120,19 +170,19 @@ func IsNonCaptured(obj *ir.Instr) bool {
 					continue
 				}
 				for _, op := range in.Operands {
-					if derived[op] {
+					if derived.derivedOf(op) {
 						return false // passed to a capturing call
 					}
 				}
 			case ir.OpPhi:
 				for _, op := range in.Operands {
-					if derived[op] {
+					if derived.derivedOf(op) {
 						return false // flows into a phi: give up tracking
 					}
 				}
 			case ir.OpRet:
 				for _, op := range in.Operands {
-					if derived[op] {
+					if derived.derivedOf(op) {
 						return false
 					}
 				}

@@ -34,11 +34,6 @@ const (
 	CFGKey Key = "cfg"
 	// MemSSAKey is the MemorySSA clobber walker — mssa.Walker.
 	MemSSAKey Key = "memory-ssa"
-	// AAQueryCacheKey stands for the alias-analysis manager's memoized
-	// query cache. It has no Build function; it is registered only so
-	// invalidation can be scoped to the changed function through an
-	// OnInvalidate hook.
-	AAQueryCacheKey Key = "aa-query-cache"
 )
 
 // PreservedAnalyses is a transformation pass's declaration of which
@@ -114,7 +109,7 @@ type Registration struct {
 
 	// OnInvalidate, when non-nil, runs whenever the analysis is
 	// invalidated for fn — the scoped-flush hook for state held outside
-	// the manager (the AA query cache).
+	// the manager.
 	OnInvalidate func(fn *ir.Func)
 }
 

@@ -15,6 +15,10 @@ func twoFuncs() (*ir.Func, *ir.Func) {
 	return f, g
 }
 
+// markerKey is a Build-less registration that exists only for its
+// OnInvalidate hook.
+const markerKey Key = "marker"
+
 func TestPreservedAnalysesSets(t *testing.T) {
 	if !All().PreservesAll() || !All().Preserves(CFGKey) {
 		t.Error("All must preserve everything")
@@ -23,7 +27,7 @@ func TestPreservedAnalysesSets(t *testing.T) {
 		t.Error("None must preserve nothing")
 	}
 	pa := CFGOnly()
-	if pa.PreservesAll() || !pa.Preserves(CFGKey) || pa.Preserves(AAQueryCacheKey) {
+	if pa.PreservesAll() || !pa.Preserves(CFGKey) || pa.Preserves(markerKey) {
 		t.Errorf("CFGOnly must preserve exactly the CFG")
 	}
 	both := Some(CFGKey, MemSSAKey).Intersect(CFGOnly())
@@ -124,13 +128,13 @@ func TestManagerOnInvalidateHook(t *testing.T) {
 	f, g := twoFuncs()
 	m := NewManager()
 	var flushed []*ir.Func
-	m.Register(Registration{Key: AAQueryCacheKey, OnInvalidate: func(fn *ir.Func) {
+	m.Register(Registration{Key: markerKey, OnInvalidate: func(fn *ir.Func) {
 		flushed = append(flushed, fn)
 	}})
 	m.Invalidate(f, CFGOnly())
 	m.Invalidate(g, None())
 	m.Invalidate(g, All())
-	m.Invalidate(g, Some(AAQueryCacheKey))
+	m.Invalidate(g, Some(markerKey))
 	if len(flushed) != 2 || flushed[0] != f || flushed[1] != g {
 		t.Errorf("hook fired for %v, want [f g]", flushed)
 	}
@@ -145,7 +149,7 @@ func TestManagerForceInvalidateMode(t *testing.T) {
 		return builds
 	}})
 	hookFired := 0
-	m.Register(Registration{Key: AAQueryCacheKey, OnInvalidate: func(*ir.Func) { hookFired++ }})
+	m.Register(Registration{Key: markerKey, OnInvalidate: func(*ir.Func) { hookFired++ }})
 	m.SetCaching(false)
 	if m.Caching() {
 		t.Fatal("caching must report disabled")
@@ -172,7 +176,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 	m := NewManager()
 	m.Register(Registration{Key: MemSSAKey, Build: func(*Manager, *ir.Func) any { return 1 }})
 	m.Register(Registration{Key: CFGKey, Build: func(*Manager, *ir.Func) any { return 2 }})
-	m.Register(Registration{Key: AAQueryCacheKey}) // marker: excluded
+	m.Register(Registration{Key: markerKey}) // marker: excluded
 	m.Get(CFGKey, f)
 	snap := m.Snapshot()
 	if len(snap) != 2 || snap[0].Key != CFGKey || snap[1].Key != MemSSAKey {

@@ -40,7 +40,6 @@ type Variant struct {
 	// OptLevel 0 means the default -O3 pipeline, 1 the reduced one.
 	OptLevel             int  `json:"opt_level,omitempty"`
 	FullAAChain          bool `json:"full_aa_chain,omitempty"`
-	DisableAAQueryCache  bool `json:"disable_aa_query_cache,omitempty"`
 	DisableAnalysisCache bool `json:"disable_analysis_cache,omitempty"`
 	// AAChain selects the alias-analysis chain by registered name or
 	// comma list (pipeline.Config.AAChain); empty defers to FullAAChain.
@@ -69,7 +68,6 @@ func (v Variant) config(name, file, src string, stopAfter int) pipeline.Config {
 		StopAfter:            stopAfter,
 		FullAAChain:          v.FullAAChain,
 		AAChain:              v.AAChain,
-		DisableAAQueryCache:  v.DisableAAQueryCache,
 		DisableAnalysisCache: v.DisableAnalysisCache,
 	}
 	switch {
@@ -96,7 +94,6 @@ func Variants() []Variant {
 	return []Variant{
 		{Name: "o3"},
 		{Name: "o3-fullaa", FullAAChain: true},
-		{Name: "o3-no-aa-cache", DisableAAQueryCache: true},
 		{Name: "o3-no-analysis-cache", DisableAnalysisCache: true},
 		{Name: "o1", OptLevel: 1},
 		{Name: "o3-blocked-aa", BlockAA: true},

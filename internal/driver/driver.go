@@ -163,6 +163,10 @@ type state struct {
 	eng     *engine
 	padLen  int // generous pessimistic padding length
 	maxSeen int // highest unique-query count observed
+	// last is the newest verified build among the consumed tests, the
+	// only build the campaign keeps alive; finalize adopts it when it
+	// is the final sequence's compilation.
+	last *build
 
 	// Persistent-campaign state (nil/empty without BenchSpec.Cache).
 	campID  string    // test-outcome identity: content hashes + checkID
@@ -193,7 +197,7 @@ func (st *state) execute(opts *oraql.Options) (*Outcome, error) {
 		return nil, err
 	}
 	st.res.Compiles++
-	rr, runErr := st.run(cr)
+	rr, runErr := st.run(cr, nil)
 	out := &Outcome{Compile: cr, Run: rr, RunErr: runErr}
 	var stdout string
 	if rr != nil {
@@ -223,6 +227,9 @@ func (st *state) test(seq oraql.Seq, specs ...oraql.Seq) (bool, error) {
 	}
 	if out.unique > st.maxSeen {
 		st.maxSeen = out.unique
+	}
+	if out.build != nil {
+		st.last = out.build
 	}
 	if out.didRun {
 		st.res.TestsRun++
@@ -332,11 +339,27 @@ func (st *state) probe() (*Result, error) {
 	return st.finalize(final)
 }
 
-// finalize recompiles with the final sequence and records results.
+// finalBuild returns the final sequence's compile+run+verify. It
+// adopts the newest verified build when that build is the final
+// sequence's compilation — it consumed the same answers — and
+// compiles otherwise. The adopted run still goes through the
+// run-replay layer, so a persistent campaign replays or stores it
+// exactly as it would a fresh run.
+func (st *state) finalBuild(seq oraql.Seq) (*Outcome, error) {
+	b := st.last
+	st.last = nil
+	if b == nil || !b.matches(seq, st.spec.ORAQL.Mode) {
+		opts := st.spec.ORAQL
+		opts.Seq = seq
+		return st.execute(&opts)
+	}
+	rr, _ := st.run(b.cr, b.run)
+	return &Outcome{Compile: b.cr, Run: rr, Verify: b.verify}, nil
+}
+
+// finalize builds the final sequence and records results.
 func (st *state) finalize(seq oraql.Seq) (*Result, error) {
-	opts := st.spec.ORAQL
-	opts.Seq = seq
-	fin, err := st.execute(&opts)
+	fin, err := st.finalBuild(seq)
 	if err != nil {
 		return nil, err
 	}

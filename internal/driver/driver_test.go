@@ -151,9 +151,10 @@ func TestProbeFullyOptimisticFastPath(t *testing.T) {
 	if len(res.FinalSeq) != 0 {
 		t.Errorf("fully optimistic result must keep the empty sequence, got %v", res.FinalSeq)
 	}
-	// Baseline + optimistic test + finalize = 3 compiles.
-	if res.Compiles != 3 {
-		t.Errorf("compiles = %d, want 3", res.Compiles)
+	// Baseline + optimistic test = 2 compiles: finalize adopts the
+	// verified optimistic build instead of compiling it again.
+	if res.Compiles != 2 {
+		t.Errorf("compiles = %d, want 2", res.Compiles)
 	}
 }
 

@@ -17,7 +17,8 @@ import (
 // testOutcome is one candidate sequence's compile+run+verify verdict.
 // It is a pure function of the candidate (compilation is deterministic,
 // and the exe-hash cache only ever replays the verify result of a
-// bit-identical binary), which is what makes speculative execution safe:
+// bit-identical binary or of an identical compilation), which is what
+// makes speculative execution safe:
 // a result computed ahead of time is the same result the sequential
 // driver would have computed on demand.
 type testOutcome struct {
@@ -26,6 +27,62 @@ type testOutcome struct {
 	didRun   bool // false when the verdict came from the exe-hash cache
 	fromDisk bool // verdict replayed from the persistent campaign state
 	err      error
+	// build is the verified build of this test, when it compiled one
+	// that passed; nil otherwise. finalize adopts it (see state.last).
+	build *build
+}
+
+// build is one verified compile+run: the compilation, the run that
+// passed verification, and the verdict.
+type build struct {
+	answered
+	cr     *pipeline.CompileResult
+	run    *irinterp.Result
+	verify verify.Result
+}
+
+// consumedPositions is how many sequence positions a compilation read:
+// every target's ORAQL pass starts at position 0 and consumes one
+// position per unique query, so the largest unique count over the
+// targets.
+func consumedPositions(cr *pipeline.CompileResult) int {
+	n := 0
+	for _, t := range []*pipeline.TargetStats{cr.Host, cr.Device} {
+		if t != nil && t.ORAQL != nil {
+			n = max(n, t.ORAQL.Stats().Unique())
+		}
+	}
+	return n
+}
+
+// answered is a finished compilation's verdict, indexed by the answers
+// it consumed.
+type answered struct {
+	seq      oraql.Seq
+	consumed int // sequence positions the compilation read
+	ok       bool
+	unique   int
+}
+
+// matches reports whether seq gives the same answer as a.seq at every
+// position a's compilation consumed, reading the responder's
+// past-the-end answer beyond a sequence's end: optimistic, or
+// pessimistic (blocked) in blocking mode. seq's compilation is then
+// exactly a's: the responder's answers drive everything else.
+func (a answered) matches(seq oraql.Seq, mode oraql.Mode) bool {
+	end := mode != oraql.ModeBlocking
+	at := func(s oraql.Seq, i int) bool {
+		if i < len(s) {
+			return s[i]
+		}
+		return end
+	}
+	for i := 0; i < a.consumed; i++ {
+		if at(seq, i) != at(a.seq, i) {
+			return false
+		}
+	}
+	return true
 }
 
 // testCall is one in-flight or completed test, single-flighted by the
@@ -46,6 +103,7 @@ type testCall struct {
 type exeEntry struct {
 	done     chan struct{}
 	v        verify.Result
+	run      *irinterp.Result
 	canceled bool
 }
 
@@ -56,7 +114,11 @@ type exeEntry struct {
 //   - a single-flight candidate map, so a speculatively prefetched test
 //     is joined (not repeated) when the decision loop requests it;
 //   - a concurrency-safe, single-flight executable-hash cache, so
-//     bit-identical binaries are verified exactly once.
+//     bit-identical binaries are verified exactly once;
+//   - within that cache, a table of finished compilations keyed by the
+//     answers they consumed, so a candidate that answers every
+//     consumed position like an earlier build gets its verdict
+//     without compiling.
 //
 // Speculative calls carry a context and are cancelled as losers the
 // moment a consumed test succeeds (success flips decided bits, which
@@ -75,6 +137,7 @@ type engine struct {
 	mu         sync.Mutex
 	calls      map[string]*testCall
 	exe        map[string]*exeEntry
+	answers    []answered
 	optRecords []*oraql.QueryRecord // query stream of the empty-seq compile
 
 	compiles     atomic.Int64
@@ -180,31 +243,31 @@ func (e *engine) get(seq oraql.Seq) testOutcome {
 			if c.canceled {
 				continue // cancelled speculation: re-issue inline
 			}
-			e.consume(c)
+			out := e.consume(c)
 			if c.speculative {
 				e.specConsumed.Add(1)
-				if !c.out.fromDisk {
+				if !out.fromDisk {
 					// Compile speculation paid off: widen. Disk-served
 					// outcomes cost nothing, so they are no evidence that
 					// spending a worker on a speculative compile pays.
 					e.adjustDepth(1)
 				}
 			}
-			if c.out.fromDisk {
+			if out.fromDisk {
 				e.diskTests.Add(1)
 			}
-			return c.out
+			return out
 		}
 		c := &testCall{key: key, done: make(chan struct{})}
 		e.calls[key] = c
 		e.mu.Unlock()
 		c.out = e.run(e.ctx, seq)
 		close(c.done)
-		e.consume(c)
-		if c.out.fromDisk {
+		out := e.consume(c)
+		if out.fromDisk {
 			e.diskTests.Add(1)
 		}
-		return c.out
+		return out
 	}
 }
 
@@ -252,6 +315,9 @@ func (e *engine) prefetch(seq oraql.Seq) {
 				delete(e.calls, key)
 			}
 		}
+		if ctx.Err() != nil {
+			out.build = nil // a loser keeps no build
+		}
 		c.out = out
 		e.mu.Unlock()
 		if c.canceled {
@@ -287,14 +353,16 @@ func (e *engine) prefetchFromDisk(key string) {
 	e.specLaunched.Add(1)
 }
 
-// cancelSpeculative cancels every outstanding speculative call. Called
-// when a consumed test succeeds: successes flip decided bits, so every
-// candidate speculated from the previous decided state is a loser.
+// cancelSpeculative cancels every outstanding speculative call and
+// drops the builds of the finished ones. Called when a consumed test
+// succeeds: successes flip decided bits, so every candidate speculated
+// from the previous decided state is a loser.
 func (e *engine) cancelSpeculative() {
 	e.mu.Lock()
 	for _, c := range e.calls {
 		if c.speculative && c.cancel != nil {
 			c.cancel()
+			c.out.build = nil
 		}
 	}
 	e.mu.Unlock()
@@ -307,13 +375,16 @@ func (e *engine) shutdown() {
 	e.wg.Wait()
 }
 
-// consume removes a finished call from the single-flight map.
-func (e *engine) consume(c *testCall) {
+// consume removes a finished call from the single-flight map and
+// returns its outcome, read under the lock because cancelSpeculative
+// may drop the build of a finished speculative call.
+func (e *engine) consume(c *testCall) testOutcome {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.calls[c.key] == c {
 		delete(e.calls, c.key)
 	}
-	e.mu.Unlock()
+	return c.out
 }
 
 // run compiles and verifies one candidate on a worker slot. ctx is
@@ -330,6 +401,13 @@ func (e *engine) run(ctx context.Context, seq oraql.Seq) testOutcome {
 			// Counted into diskTests at consumption (get), so the stat
 			// stays a subset of the tests the decision loop consumed.
 			return testOutcome{ok: o.OK, unique: o.Unique, fromDisk: true}
+		}
+	}
+	if !e.spec.DisableExeCache {
+		if a, ok := e.lookupAnswers(seq); ok {
+			out := testOutcome{ok: a.ok, unique: a.unique}
+			e.storeOutcome(dkey, out)
+			return out
 		}
 	}
 	e.sem <- struct{}{}
@@ -365,14 +443,27 @@ func (e *engine) run(ctx context.Context, seq oraql.Seq) testOutcome {
 		e.mu.Unlock()
 	}
 	out := testOutcome{unique: cr.ORAQLStats().Unique()}
+	// finish records a verdict and, for a passing one, the build.
+	finish := func(v verify.Result, rr *irinterp.Result) testOutcome {
+		a := answered{seq: seq, consumed: consumedPositions(cr), ok: v.OK, unique: out.unique}
+		out.ok = v.OK
+		if v.OK {
+			out.build = &build{answered: a, cr: cr, run: rr, verify: v}
+		}
+		if !e.spec.DisableExeCache {
+			e.mu.Lock()
+			e.answers = append(e.answers, a)
+			e.mu.Unlock()
+		}
+		e.storeOutcome(dkey, out)
+		return out
+	}
 	if e.spec.DisableExeCache {
 		if ctx.Err() != nil {
 			return testOutcome{err: ctx.Err()}
 		}
-		out.ok = e.verifyRun(cr)
 		out.didRun = true
-		e.storeOutcome(dkey, out)
-		return out
+		return finish(e.verifyRun(cr))
 	}
 
 	hash := cr.ExeHash()
@@ -391,9 +482,7 @@ func (e *engine) run(ctx context.Context, seq oraql.Seq) testOutcome {
 			if ent.canceled {
 				continue // owner was cancelled mid-flight; re-claim
 			}
-			out.ok = ent.v.OK
-			e.storeOutcome(dkey, out)
-			return out
+			return finish(ent.v, ent.run)
 		}
 		if ctx.Err() != nil {
 			// Don't publish a cancelled entry: remove it so the next test
@@ -405,13 +494,24 @@ func (e *engine) run(ctx context.Context, seq oraql.Seq) testOutcome {
 			close(ent.done)
 			return testOutcome{err: ctx.Err()}
 		}
-		ent.v = verify.Result{OK: e.verifyRun(cr)}
+		ent.v, ent.run = e.verifyRun(cr)
 		close(ent.done)
-		out.ok = ent.v.OK
 		out.didRun = true
-		e.storeOutcome(dkey, out)
-		return out
+		return finish(ent.v, ent.run)
 	}
+}
+
+// lookupAnswers finds a finished compilation whose consumed answers
+// the candidate repeats.
+func (e *engine) lookupAnswers(seq oraql.Seq) (answered, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, a := range e.answers {
+		if a.matches(seq, e.spec.ORAQL.Mode) {
+			return a, true
+		}
+	}
+	return answered{}, false
 }
 
 // storeOutcome persists a fresh test verdict into the campaign state.
@@ -423,11 +523,11 @@ func (e *engine) storeOutcome(dkey string, out testOutcome) {
 }
 
 // verifyRun executes the compiled program and checks its output.
-func (e *engine) verifyRun(cr *pipeline.CompileResult) bool {
+func (e *engine) verifyRun(cr *pipeline.CompileResult) (verify.Result, *irinterp.Result) {
 	rr, runErr := irinterp.Run(cr.Program, e.spec.Run)
 	var stdout string
 	if rr != nil {
 		stdout = rr.Stdout
 	}
-	return e.spec.Verify.Check(stdout, runErr).OK
+	return e.spec.Verify.Check(stdout, runErr), rr
 }

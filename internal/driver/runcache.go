@@ -33,10 +33,18 @@ func runKey(exeHash string, opts irinterp.Options) string {
 
 // run executes a compiled program, replaying the persisted result when
 // the campaign store already holds one for this executable. A corrupt
-// artifact degrades to a fresh run.
-func (st *state) run(cr *pipeline.CompileResult) (*irinterp.Result, error) {
-	if st.spec.Cache == nil {
+// artifact degrades to a fresh run. done, when non-nil, is a passing
+// run of this executable the campaign already made; it stands in for
+// the fresh run.
+func (st *state) run(cr *pipeline.CompileResult, done *irinterp.Result) (*irinterp.Result, error) {
+	exec := func() (*irinterp.Result, error) {
+		if done != nil {
+			return done, nil
+		}
 		return irinterp.Run(cr.Program, st.spec.Run)
+	}
+	if st.spec.Cache == nil {
+		return exec()
 	}
 	key := runKey(cr.ExeHash(), st.spec.Run)
 	if data, ok := st.spec.Cache.Get(key); ok {
@@ -46,7 +54,7 @@ func (st *state) run(cr *pipeline.CompileResult) (*irinterp.Result, error) {
 			return rr, nil
 		}
 	}
-	rr, err := irinterp.Run(cr.Program, st.spec.Run)
+	rr, err := exec()
 	if err == nil && rr != nil {
 		if data, jerr := json.Marshal(rr); jerr == nil {
 			st.spec.Cache.Put(key, data)

@@ -208,12 +208,10 @@ func New(m *ir.Module, opts Options) *Pass {
 // Name implements aa.Analysis.
 func (*Pass) Name() string { return "oraql" }
 
-// UncacheableAlias implements aa.Uncacheable: the responder's answers
-// consume the response sequence and are tracked by its own pair cache,
-// so the manager's memoized query cache must forward every repeated
-// query instead of replaying a stored verdict — otherwise the cached
-// optimistic/pessimistic counters (Fig. 4) would undercount.
-func (*Pass) UncacheableAlias() bool { return true }
+// OrderSensitiveAlias implements aa.OrderSensitive: each unique query
+// consumes the next element of the response sequence, so the pass
+// manager must issue queries in one global order.
+func (*Pass) OrderSensitiveAlias() bool { return true }
 
 // Stats returns the pass counters.
 func (p *Pass) Stats() Stats { return p.stats }

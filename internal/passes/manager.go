@@ -179,9 +179,7 @@ type Context struct {
 
 // Analyses returns the context's analysis manager, building and
 // populating it with the default registrations on first use: CFG info,
-// the MemorySSA walker (valid exactly as long as the CFG is), and the
-// alias-query-cache marker whose invalidation hook scopes AA cache
-// flushes to the changed function.
+// and the MemorySSA walker (valid exactly as long as the CFG is).
 func (c *Context) Analyses() *analysis.Manager {
 	if c.am == nil {
 		m := analysis.NewManager()
@@ -198,14 +196,6 @@ func (c *Context) Analyses() *analysis.Manager {
 			// The walker holds no state beyond its CFG view, so it stays
 			// valid whenever the CFG does.
 			PreservedWith: []analysis.Key{analysis.CFGKey},
-		})
-		m.Register(analysis.Registration{
-			Key: analysis.AAQueryCacheKey,
-			OnInvalidate: func(fn *ir.Func) {
-				if c.AA != nil {
-					c.AA.InvalidateFunc(fn)
-				}
-			},
 		})
 		m.SetCaching(!c.DisableAnalysisCache)
 		c.am = m

@@ -61,9 +61,6 @@ type Config struct {
 	// canonical resolved chain is part of every persistence key. Empty
 	// falls back to FullAAChain.
 	AAChain string
-	// DisableAAQueryCache turns off the manager-level memoized alias
-	// query cache (for the cache-ablation benchmarks).
-	DisableAAQueryCache bool
 	// DisableAnalysisCache runs the per-function analysis manager in
 	// force-invalidate mode: every pass run recomputes CFG info and the
 	// MemorySSA walker from scratch. The transparency tests compare this
@@ -124,9 +121,8 @@ func (c Config) AAChainCanonical() string {
 
 // diskConfigKey folds every output-affecting configuration knob into
 // the per-function cache key. Transparent knobs (worker counts, the
-// AA query and analysis caches, which the transparency tests prove
-// output-neutral) are deliberately excluded so their ablation modes
-// share entries.
+// analysis cache, which the transparency tests prove output-neutral)
+// are deliberately excluded so their ablation modes share entries.
 func (c Config) diskConfigKey() string {
 	return fmt.Sprintf("opt=%d|stop=%d|chain=%s", c.OptLevel, c.StopAfter, c.AAChainCanonical())
 }
@@ -210,8 +206,7 @@ func (r *CompileResult) ORAQLStats() oraql.Stats {
 	return s
 }
 
-// AAStats merges the alias-analysis statistics of all targets,
-// including the memoized query-cache hit/miss/flush counters.
+// AAStats merges the alias-analysis statistics of all targets.
 func (r *CompileResult) AAStats() *aa.Stats {
 	out := aa.NewStats()
 	out.Merge(r.Host.AA)
@@ -392,9 +387,6 @@ func compileModule(cctx context.Context, cfg Config, m *ir.Module) (*TargetStats
 		}
 	}
 	mgr := aa.NewManager(m, chain...)
-	if cfg.DisableAAQueryCache {
-		mgr.SetQueryCache(false)
-	}
 	var op *oraql.Pass
 	if cfg.ORAQL != nil {
 		opts := *cfg.ORAQL

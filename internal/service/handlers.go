@@ -369,16 +369,15 @@ func (s *Server) storeDiskResponse(key string, resp *CompileResponse) {
 	s.cfg.Cache.Put(diskResponseKey(key), data)
 }
 
-// observeCompileResult lifts one compilation's AA and analysis cache
-// counters into the service metrics.
+// observeCompileResult lifts one compilation's analysis cache counters
+// into the service metrics.
 func (s *Server) observeCompileResult(cr *pipeline.CompileResult) {
-	aas := cr.AAStats()
 	var anHits, anMisses int64
 	for _, as := range cr.AnalysisStats() {
 		anHits += as.Hits
 		anMisses += as.Misses
 	}
-	s.met.observeCompile(aas.CacheHits, aas.CacheLookups(), anHits, anMisses)
+	s.met.observeCompile(anHits, anMisses)
 }
 
 // handleProbe submits an asynchronous probe campaign.

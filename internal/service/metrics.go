@@ -36,8 +36,6 @@ type metrics struct {
 	// Compiler-level counters, summed over every compilation executed
 	// by the service (sync compiles and job compiles alike).
 	compiles       int64
-	aaCacheHits    int64
-	aaCacheLookups int64
 	analysisHits   int64
 	analysisMisses int64
 
@@ -184,15 +182,12 @@ func (m *metrics) observeCampaignScript(sha string) {
 	m.mu.Unlock()
 }
 
-// observeCompile lifts one compilation's cache counters into the
-// service-wide series: AA query-cache hits/lookups from aa.Stats and
-// the analysis manager's hit/miss counters.
-func (m *metrics) observeCompile(aaHits, aaLookups, anHits, anMisses int64) {
+// observeCompile counts one compilation and lifts its analysis
+// manager's hit/miss counters into the service-wide series.
+func (m *metrics) observeCompile(anHits, anMisses int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.compiles++
-	m.aaCacheHits += aaHits
-	m.aaCacheLookups += aaLookups
 	m.analysisHits += anHits
 	m.analysisMisses += anMisses
 }
@@ -367,12 +362,6 @@ func (m *metrics) render(cache *resultCache, disk *diskcache.Store, queueDepth, 
 	b.WriteString("# HELP oraql_compiles_total Pipeline compilations executed by the service.\n")
 	b.WriteString("# TYPE oraql_compiles_total counter\n")
 	fmt.Fprintf(&b, "oraql_compiles_total %d\n", m.compiles)
-	b.WriteString("# HELP oraql_aa_query_cache_hits_total Memoized AA query-cache hits over all service compilations.\n")
-	b.WriteString("# TYPE oraql_aa_query_cache_hits_total counter\n")
-	fmt.Fprintf(&b, "oraql_aa_query_cache_hits_total %d\n", m.aaCacheHits)
-	b.WriteString("# HELP oraql_aa_query_cache_lookups_total Memoized AA query-cache lookups (hits + misses).\n")
-	b.WriteString("# TYPE oraql_aa_query_cache_lookups_total counter\n")
-	fmt.Fprintf(&b, "oraql_aa_query_cache_lookups_total %d\n", m.aaCacheLookups)
 	b.WriteString("# HELP oraql_analysis_cache_hits_total Analysis-manager cache hits over all service compilations.\n")
 	b.WriteString("# TYPE oraql_analysis_cache_hits_total counter\n")
 	fmt.Fprintf(&b, "oraql_analysis_cache_hits_total %d\n", m.analysisHits)

@@ -71,7 +71,6 @@ func compileConfig(req *CompileRequest) (pipeline.Config, error) {
 	cfg.OptLevel = o.OptLevel
 	cfg.FullAAChain = o.FullAAChain
 	cfg.AAChain = o.AAChain
-	cfg.DisableAAQueryCache = o.DisableAAQueryCache
 	cfg.DisableAnalysisCache = o.DisableAnalysisCache
 	if o.ORAQL || o.Seq != "" {
 		seq, err := oraql.ParseSeq(o.Seq)

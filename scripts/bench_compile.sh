@@ -19,13 +19,15 @@
 set -eu
 count="${1:-3}"
 out="BENCH_compile.json"
+raw="$(mktemp)"
+trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' -bench 'Compile_AnalysisCache|Compile_Workers' -benchtime=1x \
-	-count="$count" . | tee /tmp/bench_compile.txt
+	-count="$count" . | tee "$raw"
 
 gomaxprocs="$(go run ./scripts/gomaxprocs 2>/dev/null || nproc)"
 
-awk -v gomaxprocs="$gomaxprocs" '
+awk -v gomaxprocs="$gomaxprocs" -v ncpu="$(nproc 2>/dev/null || echo 1)" '
 /^BenchmarkCompile_AnalysisCache\// {
 	split($1, parts, "/")
 	cfg = parts[2]
@@ -53,7 +55,7 @@ function wms(cfg, w, mode,    k) {
 	return wns[k] / wn[k] / 1e6
 }
 END {
-	printf "{\n  \"gomaxprocs\": %d,\n", gomaxprocs
+	printf "{\n  \"cpus\": %d,\n  \"gomaxprocs\": %d,\n", ncpu, gomaxprocs
 	printf "  \"configs\": {\n"
 	for (j = 1; j <= ncfg; j++) {
 		cfg = order[j]
@@ -84,5 +86,5 @@ END {
 		printf "    }%s\n", (j < nwcfg) ? "," : ""
 	}
 	printf "  }\n}\n"
-}' /tmp/bench_compile.txt > "$out"
+}' "$raw" > "$out"
 echo "wrote $out"

@@ -1,15 +1,24 @@
 #!/bin/sh
 # Records the probing benchmarks into BENCH_probe.json:
 #
-#   - sequential vs parallel driver: wall clock per workflow sweep,
-#     speculation counts, and the alias-query cache hit rate;
+#   - sequential vs parallel driver: wall clock per workflow sweep
+#     and speculation counts;
 #   - the strategy matrix: chunked / freq / bayes, cold and seeded
 #     (a prior chunked campaign populated a disk cache), per app
-#     configuration, with compile counts and conviction counts.
+#     configuration, with compile counts and conviction counts;
+#   - with a parent ref, the repo benchmark's cold workload
+#     (perfbench probe-cold, 20 s, seed 11) for the parent and for the
+#     working tree in alternating pairs: medians of every end-to-end
+#     metric, the parent's ops_per_s quartiles, and the pairs the
+#     working tree won on ops_per_s.
 #
 # Run from the repo root:
 #
-#   scripts/bench_probe.sh [count]
+#   scripts/bench_probe.sh [count] [parent-ref [pairs]]
+#
+# pairs defaults to 10. The parent tree is exported with git archive
+# into a temporary directory; each side's benchmark binary is built
+# from its own tree.
 #
 # On a single-core machine the parallel driver cannot overlap its
 # speculative tests, so expect parallel >= sequential there; the >=2x
@@ -21,24 +30,74 @@
 # the headline claims the matrix exists to pin.
 set -eu
 count="${1:-3}"
+parent="${2:-}"
+pairs="${3:-10}"
 out="BENCH_probe.json"
 raw="$(mktemp)"
-trap 'rm -f "$raw"' EXIT
+tmp="$(mktemp -d)"
+trap 'rm -rf "$raw" "$tmp"' EXIT
+
+rev=""
+if [ -n "$parent" ]; then
+	rev="$(git rev-parse --short "$parent")"
+	mkdir "$tmp/parent"
+	git archive "$rev" | tar -x -C "$tmp/parent"
+	(cd "$tmp/parent/perfbench" && GOFLAGS=-mod=mod go build -o "$tmp/pb-parent" .)
+	(cd perfbench && GOFLAGS=-mod=mod go build -o "$tmp/pb-change" .)
+	i=0
+	while [ "$i" -lt "$pairs" ]; do
+		for side in parent change; do
+			dir=.
+			[ "$side" = parent ] && dir="$tmp/parent"
+			(cd "$dir" && "$tmp/pb-$side" --workload probe-cold --seed 11 --seconds 20 --trace 0 \
+				--dir "$tmp/pb-$side-dir" 2>/dev/null || true) | tail -n 1 | sed "s/^/perfbench $side /" | tee -a "$raw"
+		done
+		i=$((i + 1))
+	done
+fi
 
 go test -run '^$' -bench 'Probe_(Sequential|Parallel)' -benchtime=1x -benchmem \
-	-count="$count" . | tee "$raw"
+	-count="$count" . | tee -a "$raw"
 # The matrix averages wall clock over $count iterations per cell —
 # single-shot timings on small configurations are too noisy for the
 # strict win check below.
 go test -run '^$' -bench 'Probe_StrategyMatrix' -benchtime="${count}x" \
 	-count=1 . | tee -a "$raw"
 
-awk -v ncpu="$(nproc 2>/dev/null || echo 1)" '
+awk -v ncpu="$(nproc 2>/dev/null || echo 1)" -v rev="$rev" '
+function metric(s, name,   i) {
+	i = index(s, "\"" name "\":{\"value\":")
+	return (i == 0) ? "" : substr(s, i + length(name) + 12) + 0
+}
+function sorted(list, a,   n, i, j, t) {
+	n = split(list, a, " ")
+	for (i = 2; i <= n; i++)
+		for (j = i; j > 1 && a[j-1] + 0 > a[j] + 0; j--) { t = a[j]; a[j] = a[j-1]; a[j-1] = t }
+	return n
+}
+# quantile is the exclusive method of Python statistics.quantiles.
+function quantile(list, p,   a, n, m, j) {
+	n = sorted(list, a)
+	if (n == 1) return a[1]
+	m = (n + 1) * p; j = int(m)
+	if (j < 1) return a[1]
+	if (j >= n) return a[n]
+	return a[j] + (m - j) * (a[j+1] - a[j])
+}
+/^perfbench (parent|change) / {
+	side = $2
+	np[side]++
+	for (k = 1; k <= nmet; k++) vals[side, mets[k]] = vals[side, mets[k]] " " metric($0, mets[k])
+	if (side == "parent") pops[np[side]] = metric($0, "ops_per_s")
+	else if (metric($0, "ops_per_s") > pops[np[side]]) wins++
+	if (index($0, "\"failed\":0,") == 0) failed[side]++
+	next
+}
+BEGIN { nmet = split("ops_per_s op_ms_p50 cpu_ms_per_op alloc_mb_per_op peak_rss_mb setup_s", mets, " ") }
 /^BenchmarkProbe_(Sequential|Parallel)/ {
 	name = ($1 ~ /Sequential/) ? "sequential" : "parallel"
 	ns[name] += $3; n[name]++
 	for (i = 5; i < NF; i += 2) {
-		if ($(i+1) == "aa-cache-hit-%") hit[name] = $i
 		if ($(i+1) == "compiles") comp[name] = $i
 		if ($(i+1) == "tests-speculated") spec[name] = $i
 		if ($(i+1) == "tests-wasted") waste[name] = $i
@@ -60,13 +119,30 @@ END {
 	printf "{\n"
 	printf "  \"suite\": [\"lulesh-seq\", \"testsnap-openmp\", \"minigmg-sse\", \"quicksilver-openmp\"],\n"
 	printf "  \"cpus\": %d,\n", ncpu
+	if (np["parent"] > 0 && np["change"] > 0) {
+		printf "  \"probe_cold\": {\n"
+		printf "    \"benchmark\": \"perfbench --workload probe-cold --seed 11 --seconds 20 --trace 0\",\n"
+		printf "    \"pairs\": %d,\n", np["change"]
+		printf "    \"rows\": [\n"
+		for (r = 1; r <= 2; r++) {
+			side = (r == 1) ? "parent" : "change"
+			printf "      {\"name\": \"%s\", \"ref\": \"%s\", \"runs_with_failed_ops\": %d", \
+				side, (side == "parent") ? rev : "working tree", failed[side]
+			for (k = 1; k <= nmet; k++) printf ", \"%s\": %.3f", mets[k], quantile(vals[side, mets[k]], 0.5)
+			printf "}%s\n", (r == 1) ? "," : ""
+		}
+		printf "    ],\n"
+		printf "    \"parent_ops_per_s_q1\": %.3f,\n", quantile(vals["parent", "ops_per_s"], 0.25)
+		printf "    \"parent_ops_per_s_q3\": %.3f,\n", quantile(vals["parent", "ops_per_s"], 0.75)
+		printf "    \"change_wins_ops_per_s\": %d\n", wins
+		printf "  },\n"
+	}
 	for (name in ns) {
 		printf "  \"%s\": {\n", name
 		printf "    \"wall_clock_ms\": %.1f,\n", ns[name] / n[name] / 1e6
 		printf "    \"compiles\": %d,\n", comp[name]
 		printf "    \"tests_speculated\": %d,\n", spec[name]
-		printf "    \"tests_wasted\": %d,\n", waste[name]
-		printf "    \"aa_cache_hit_pct\": %.2f\n", hit[name]
+		printf "    \"tests_wasted\": %d\n", waste[name]
 		printf "  },\n"
 	}
 	printf "  \"strategy_matrix\": {\n"
